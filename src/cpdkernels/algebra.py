@@ -8,8 +8,10 @@ elements of the column Hilbert C*-module, with the algebra-valued inner product
 
 Positivity is decided by hermitian eigendecomposition with a relative
 tolerance: an element passes if it is hermitian within ``tol_rel`` and every
-block satisfies ``lambda_min >= -tol_rel * max(1, ||block||)``.  Cholesky is
-deliberately avoided because it fails on the semidefinite boundary.
+block satisfies ``lambda_min >= -tol_rel * max(1, ||block||)``.  For the
+kernel tests, ``psd_defect`` first tries Cholesky on the matrix shifted by
+``tol_rel / 2 * max(1, max |diagonal|)``; by its backward error (Higham,
+2002, ch. 10) success proves a pass, and only a failure is eigensolved.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ __all__ = [
     "ModuleElement",
     "ToleranceConfig",
     "DimensionMismatch",
+    "NonFinite",
     "adjoint",
     "is_positive",
+    "psd_defect",
     "leq",
     "abs_value",
     "op_norm",
@@ -40,6 +44,17 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Raised when operands have incompatible descriptors, ranks or shapes."""
+
+
+class NonFinite(ValueError):
+    """Raised when a decision meets an infinite or NaN value: an overflow is
+    never decided as a pass."""
+
+
+def _require_finite(mats: list[np.ndarray]) -> list[np.ndarray]:
+    if not all(np.isfinite(M).all() for M in mats):
+        raise NonFinite("a kernel matrix has an infinite or NaN value (overflow?)")
+    return mats
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -63,8 +78,6 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Principal square root of a hermitian matrix, clamping negative
     eigenvalues to zero so roundoff on the semidefinite boundary cannot
     produce complex output."""
-    if a.shape[0] == 0:
-        return a.copy()
     w, u = np.linalg.eigh(_hermitian_part(a))
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
@@ -72,8 +85,6 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 def min_eig(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a hermitian matrix and a unit eigenvector."""
-    if a.shape[0] == 0:
-        return 0.0, np.zeros(0, dtype=np.complex128)
     w, u = np.linalg.eigh(a)
     return float(w[0]), u[:, 0].copy()
 
@@ -276,13 +287,53 @@ def is_positive(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     if not _is_hermitian(x, tol):
         return False
     for b in x.blocks:
-        if b.shape[0] == 0:
-            continue
         w = np.linalg.eigvalsh(_hermitian_part(b))
         scale = max(1.0, float(np.max(np.abs(w))))
         if w[0] < -tol.tol_rel * scale:
             return False
     return True
+
+
+def _cholesky_passes(H: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Sufficient test that hermitian ``H`` of order ``N`` passes the rule
+    ``lambda_min >= -tol_rel * max(1, max |lambda|)``.
+
+    ``s_lo = max(1, max |H_ii|)`` is at most the rule's scale, since a
+    hermitian diagonal lies within the spectrum.  If Cholesky runs to
+    completion on ``A = H + c tol_rel s_lo I``, then ``R* R = A + E`` with
+    ``|E| <= g |R*| |R|``, ``g = gamma_{N+1}`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, Thm 10.3; ``g = 4 (N+1) u`` is
+    taken for complex data), and Cauchy-Schwarz on the columns of ``R`` gives
+    ``||E|| <= g trace(R* R) <= g N (1 + c tol_rel) s_lo / (1 - g)``.  So
+    ``lambda_min(H) >= -(c tol_rel s_lo + ||E||)``, and the rule holds when
+    ``||E|| / s_lo + 2 N u <= (1 - c) tol_rel``; ``2 N u`` covers rounding of
+    the shift and the eigensolver's backward error (``N u ||H||``).  At
+    ``tol_rel = 1e-9`` that is ``N <= 1060``; above it the eigensolver decides.
+    """
+    N, c = H.shape[0], 0.5  # c: the share of tol_rel spent on the shift
+    u = np.finfo(np.float64).eps / 2
+    g = 4 * (N + 1) * u
+    if g * N * (1 + c * tol.tol_rel) / (1 - g) + 2 * N * u > (1 - c) * tol.tol_rel:
+        return False
+    s_lo = max(1.0, float(np.abs(np.diagonal(H)).max()))
+    try:
+        np.linalg.cholesky(H + (c * tol.tol_rel * s_lo) * np.eye(N))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def psd_defect(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """How a hermitian matrix fails ``lambda_min >= -tol_rel * max(1, max
+    |lambda|)``: ``None`` when it passes, else its relative margin, bottom
+    eigenvalue and a unit eigenvector.  A pass is decided by Cholesky where
+    ``_cholesky_passes`` can; a non-finite matrix or eigenvalue raises
+    ``NonFinite``."""
+    if _cholesky_passes(_require_finite([h])[0], tol):
+        return None
+    w, u = np.linalg.eigh(h)
+    margin = _require_finite([w])[0][0] / max(1.0, float(np.max(np.abs(w))))
+    return (margin, float(w[0]), u[:, 0].copy()) if margin < -tol.tol_rel else None
 
 
 def leq(x: AlgebraElement, y: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

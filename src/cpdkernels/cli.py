@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="summand-level worker threads (results are order-reduced)",
+        help="accepted for compatibility and ignored: decisions run on one thread",
     )
     parser.add_argument(
         "--no-timings", action="store_true",

@@ -38,6 +38,9 @@ from .kernels import (
     IndexSet,
     Kernel,
     Verdict,
+    _assemble_raw,
+    _require_hermitian,
+    _shifted,
     assemble_gram,
     is_conditionally_positive_definite,
     is_positive_definite,
@@ -137,10 +140,6 @@ def factor_pd(
     ranks = []
     factors = []
     for G in assemble_gram(L, tol):
-        if G.shape[0] == 0:
-            ranks.append(0)
-            factors.append(np.zeros((0, 0), dtype=np.complex128))
-            continue
         w, u = np.linalg.eigh(0.5 * (G + G.conj().T))
         order = np.argsort(w)[::-1]
         w, u = w[order], u[:, order]
@@ -250,22 +249,10 @@ def sum_sq_diff_decomposition(
     if not verdict.holds:
         raise PreconditionFailure("kernel is not conditionally positive definite", verdict)
 
-    i0 = n - 1
-    base = K.values[i0][i0]
-    shifted = Kernel(
-        K.index_set,
-        K.descriptor,
-        [
-            [
-                K.values[i][j] - K.values[i][i0] - K.values[i0][j] + base
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
+    shifted = [_shifted(G, n, n - 1) for G in _assemble_raw(K)]
     desc = K.descriptor
     families: list[dict[str, AlgebraElement]] = []
-    for k, (d, B) in enumerate(zip(desc.summand_dims, assemble_gram(shifted, tol))):
+    for k, (d, B) in enumerate(zip(desc.summand_dims, _require_hermitian(shifted, n, tol))):
         w, u = np.linalg.eigh(0.5 * (B + B.conj().T))
         order = np.argsort(w)[::-1]
         w, u = w[order], u[:, order]

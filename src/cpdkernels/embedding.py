@@ -133,8 +133,6 @@ def _positive_defect(x: AlgebraElement, tol: ToleranceConfig):
             return ("hermitian", k, None, None)
     worst = None
     for k, b in enumerate(x.blocks):
-        if b.shape[0] == 0:
-            continue
         lam, vec = min_eig(0.5 * (b + b.conj().T))
         scale = max(1.0, op_norm(x))
         margin = lam / scale
@@ -205,8 +203,6 @@ def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verd
                     continue
                 slack = dm.values[i][u_idx] + dm.values[u_idx][j] - dm.values[i][j]
                 for k, b in enumerate(slack.blocks):
-                    if b.shape[0] == 0:
-                        continue
                     lam, vec = min_eig(0.5 * (b + b.conj().T))
                     margin = lam / max(1.0, op_norm(slack))
                     if worst is None or margin < worst[0]:

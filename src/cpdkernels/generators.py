@@ -21,6 +21,7 @@ from .embedding import CStarMetric, distance_matrix_from_points, scalar_metric
 from .kernels import (
     IndexSet,
     Kernel,
+    _kernel_of,
     assemble_gram,
     compressed_gram,
     kernel_norm,
@@ -248,20 +249,7 @@ def random_non_cpd_kernel(cfg: GenConfig) -> Kernel:
         x = np.concatenate([tail, -tail.sum(axis=0, keepdims=True)]).ravel()
         x /= np.linalg.norm(x)
         grams[k] -= mu_k * np.outer(x, x.conj())
-    values = [
-        [
-            AlgebraElement(
-                cfg.descriptor,
-                [
-                    G[i * d : (i + 1) * d, j * d : (j + 1) * d]
-                    for d, G in zip(cfg.descriptor.summand_dims, grams)
-                ],
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Kernel(H.index_set, cfg.descriptor, values)
+    return _kernel_of(H.index_set, cfg.descriptor, grams)
 
 
 def random_metric(cfg: GenConfig) -> CStarMetric:

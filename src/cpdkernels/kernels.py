@@ -1,29 +1,32 @@
 """Operator-valued kernels on a finite labeled set and their positivity tests.
 
-A kernel assigns an algebra element to every ordered pair of labels.  Positive
-definiteness is decided by assembling, per summand, the big block matrix
-``G[(i,j)] = K(s_i, s_j)`` and eigen-testing it; conditional positive
-definiteness restricts the quadratic form to coefficient tuples summing to
-zero and is decided by compressing ``G`` with the difference basis
-``T = [(e_1 - e_n) (x) I_d | ... | (e_{n-1} - e_n) (x) I_d]``.
+A kernel assigns an algebra element to every ordered pair of labels.  Every
+decision works on the assembled block matrix of each summand,
+``G[(i,j)] = K(s_i, s_j)``, viewed as an ``(n, d, n, d)`` array.  Positive
+definiteness tests ``G`` itself; conditional positive definiteness restricts
+the quadratic form to coefficient tuples summing to zero and tests the
+compression ``C`` of ``G`` to them.  In the basis ``(e_a - e_n) (x) I_d``,
+``a < n``, its blocks are ``C_ab = (G_ab - G_nb) - (G_an - G_nn)``: the table
+shifted at the last label, restricted to the first ``n - 1`` labels.  It is
+sliced out of ``G`` by array broadcasts at ``O((n d)^2)`` cost.
 
 Reduction from algebra coefficients to vectors (why the compression decides
-the algebra-level condition): if ``T* G T`` is positive semidefinite then for
+the algebra-level condition): if ``C`` is positive semidefinite then for
 any algebra coefficients ``a_i`` with ``sum a_i = 0``, eliminating
 ``a_n = -(a_1 + ... + a_{n-1})`` turns ``sum a_i* G_ij a_j`` into the same
-quadratic form over the shifted matrix, which is nonnegative because a
+quadratic form over ``C``, which is nonnegative because a
 positive block matrix ``B`` satisfies ``sum b_i* B_ij b_j >= 0`` for all
 algebra coefficients.  Conversely, given column vectors ``x_i`` with
 ``sum x_i = 0`` and a unit vector ``xi``, the rank-one coefficients
 ``a_i = x_i xi*`` sum to zero and give
 ``sum a_i* G_ij a_j = (x* G x) xi xi*``, so nonnegativity over algebra
 coefficients forces ``x* G x >= 0`` for every zero-sum vector tuple, i.e.
-``T* G T >= 0``.  The two conditions are therefore equivalent.
+``C >= 0``.  The two conditions are therefore equivalent.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +37,12 @@ from .algebra import (
     AlgebraElement,
     DimensionMismatch,
     ToleranceConfig,
-    adjoint,
+    _require_finite,
     _spec_norm,
+    adjoint,
     leq,
     op_norm,
+    psd_defect,
     re_part,
 )
 
@@ -164,13 +169,9 @@ class Kernel:
         return self.values[self.index_set.index(s)][self.index_set.index(t)]
 
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        scale = max(1.0, kernel_norm(self))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                diff = self.values[i][j] - adjoint(self.values[j][i])
-                if op_norm(diff) > tol.tol_rel * scale:
-                    return False
-        return True
+        """Whether ``||K(s,t) - K(t,s)*|| <= tol_rel * max(1, kernel_norm)``
+        for every pair; raises ``NonFinite`` on an infinite or NaN entry."""
+        return _hermitian(_assemble_raw(self), self.n, tol)
 
     @classmethod
     def zero(cls, index_set: IndexSet, descriptor: AlgebraDescriptor) -> Kernel:
@@ -179,26 +180,16 @@ class Kernel:
         return cls(index_set, descriptor, [[z] * n for _ in range(n)])
 
     def __add__(self, other: Kernel) -> Kernel:
-        self._check_compatible(other)
-        return Kernel(
-            self.index_set,
-            self.descriptor,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.values, other.values)
-            ],
-        )
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: Kernel) -> Kernel:
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op, other: Kernel) -> Kernel:
         self._check_compatible(other)
-        return Kernel(
-            self.index_set,
-            self.descriptor,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.values, other.values)
-            ],
-        )
+        pairs = zip(self.values, other.values)
+        return Kernel(self.index_set, self.descriptor,
+                      [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in pairs])
 
     def __mul__(self, scalar) -> Kernel:
         return Kernel(
@@ -222,81 +213,102 @@ def scalar_kernel(matrix, labels=None) -> Kernel:
         raise DimensionMismatch("scalar kernel needs a square matrix")
     if labels is None:
         labels = [f"s{i + 1}" for i in range(n)]
-    desc = AlgebraDescriptor([1])
-    values = [
-        [AlgebraElement(desc, [mat[i, j].reshape(1, 1)]) for j in range(n)]
-        for i in range(n)
-    ]
-    return Kernel(IndexSet(labels), desc, values)
+    return _kernel_of(IndexSet(labels), AlgebraDescriptor([1]), [mat])
 
 
 def kernel_norm(K: Kernel) -> float:
     """Largest entry C*-norm; the scale used by relative tolerances."""
-    return max(op_norm(v) for row in K.values for v in row)
-
-
-def _pmap(fn, items, threads: int = 1) -> list:
-    """Order-preserving map, optionally over a thread pool.
-
-    Reductions downstream consume the results in summand order, so the output
-    is identical at any thread count.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _require_hermitian(K: Kernel, tol: ToleranceConfig) -> None:
-    if not K.is_hermitian(tol):
-        raise NotHermitian("kernel table is not hermitian at tolerance")
-
-
-def assemble_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Per-summand block matrix: entry block (i, j) is summand k of K(s_i, s_j)."""
-    _require_hermitian(K, tol)
-    return _assemble_raw(K)
+    return _max_norm(_assemble_raw(K), K.n)
 
 
 def _assemble_raw(K: Kernel) -> list[np.ndarray]:
     n = K.n
-    out = []
-    for k, d in enumerate(K.descriptor.summand_dims):
-        big = np.empty((n * d, n * d), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                big[i * d : (i + 1) * d, j * d : (j + 1) * d] = K.values[i][j].blocks[k]
-        out.append(big)
-    return out
+    return [
+        np.array([[v.blocks[k] for v in row] for row in K.values])
+        .swapaxes(1, 2)
+        .reshape(n * d, n * d)
+        for k, d in enumerate(K.descriptor.summand_dims)
+    ]
 
 
-def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig, threads: int = 1) -> Verdict:
-    """PSD test over a family of hermitian matrices, one per summand.
+def _stack(G: np.ndarray, n: int) -> np.ndarray:
+    """``(n, n, d, d)`` view of an assembled summand; ``[i, j]`` is ``K(s_i, s_j)``."""
+    d = G.shape[0] // n
+    return G.reshape(n, d, n, d).swapaxes(1, 2)
 
-    Fails on the summand with the most negative relative margin, reporting
-    that summand's bottom eigenpair.
+
+def _max_norm(grams: list[np.ndarray], n: int) -> float:
+    return max(float(np.linalg.norm(_stack(G, n), 2, axis=(-2, -1)).max()) for G in grams)
+
+
+def _hermitian(grams: list[np.ndarray], n: int, tol: ToleranceConfig) -> bool:
+    """``Kernel.is_hermitian`` on assembled summands.  Block ``(i, j)`` of
+    ``G - G*`` is ``K(s_i, s_j) - K(s_j, s_i)*``; its 2-norm is at most its
+    Frobenius norm, and the scale ``max(1, kernel_norm)`` is at least ``max(1,
+    max |G|)``.  So Frobenius norms below half of ``tol_rel`` times that floor
+    (the half absorbs rounding) prove the table hermitian; otherwise the exact
+    2-norms of the blocks with ``i <= j`` decide."""
+    upper = np.triu_indices(n)
+    diffs = [_stack(G - G.conj().T, n)[upper] for G in _require_finite(grams)]
+    floor = max(1.0, *(float(np.abs(G).max()) for G in grams))
+    if all(np.linalg.norm(D, axis=(-2, -1)).max() <= 0.5 * tol.tol_rel * floor for D in diffs):
+        return True
+    scale = max(1.0, _max_norm(grams, n))
+    return all(np.linalg.norm(D, 2, axis=(-2, -1)).max() <= tol.tol_rel * scale for D in diffs)
+
+
+def _require_hermitian(grams: list[np.ndarray], n: int, tol: ToleranceConfig) -> list:
+    if not _hermitian(grams, n, tol):
+        raise NotHermitian("kernel table is not hermitian at tolerance")
+    return grams
+
+
+def _shifted(G: np.ndarray, n: int, m: int, compress: bool = False) -> np.ndarray:
+    """Blocks ``K_ij - K_im - K_mj + K_mm`` of an assembled summand, as an
+    array; the one shift formula behind every CPD route.
+
+    The shift associates as ``((K_ij - K_im) - K_mj) + K_mm``, as the
+    entrywise algebra expression does.  With ``compress`` (``m = n - 1``) it
+    is restricted to the first ``n - 1`` labels and associates as ``(K_ij -
+    K_mj) - (K_im - K_mm)``, the order in which ``T* G T`` evaluates for the
+    difference basis ``T``; each equals its defining expression bit for bit.
     """
+    d = G.shape[0] // n
+    B = G.reshape(n, d, n, d)
+    if compress:
+        R = B[:m] - B[m:]
+        S = R[:, :, :m] - R[:, :, m:]
+    else:
+        S = ((B - B[:, :, m : m + 1]) - B[m : m + 1]) + B[m : m + 1, :, m : m + 1]
+    return S.reshape(S.shape[0] * d, -1)
 
-    def eig(mat):
-        if mat.shape[0] == 0:
-            return None
-        herm = 0.5 * (mat + mat.conj().T)
-        w, u = np.linalg.eigh(herm)
-        return w, u
 
-    worst = None  # (relative margin, summand, eigenvalue, vector)
-    for k, res in enumerate(_pmap(eig, mats, threads)):
-        if res is None:
-            continue
-        w, u = res
-        scale = max(1.0, float(np.max(np.abs(w))))
-        margin = w[0] / scale
-        if worst is None or margin < worst[0]:
-            worst = (margin, k, float(w[0]), u[:, 0].copy())
-    if worst is not None and worst[0] < -tol.tol_rel:
-        _, k, lam, vec = worst
-        return Verdict(False, Witness(k, lam, vec))
-    return Verdict(True)
+def _kernel_of(index_set: IndexSet, desc: AlgebraDescriptor, grams: list) -> Kernel:
+    """The kernel whose assembled summands are ``grams``."""
+    stacks = [_stack(G, index_set.n) for G in grams]
+    return Kernel(index_set, desc, [
+        [AlgebraElement(desc, [S[i, j] for S in stacks]) for j in range(index_set.n)]
+        for i in range(index_set.n)
+    ])
+
+
+def assemble_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """Per-summand block matrix: entry block (i, j) is summand k of K(s_i, s_j)."""
+    return _require_hermitian(_assemble_raw(K), K.n, tol)
+
+
+def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig) -> Verdict:
+    """PSD test over a family of matrices, one per summand, on their hermitian
+    parts.  Fails on the summand with the most negative relative margin,
+    reporting that summand's bottom eigenpair."""
+    defects = [
+        (found, k) for k, M in enumerate(mats)
+        if (found := psd_defect(0.5 * (M + M.conj().T), tol)) is not None
+    ]
+    if not defects:
+        return Verdict(True)
+    (_, lam, vec), k = min(defects, key=lambda fk: fk[0][0])
+    return Verdict(False, Witness(k, lam, vec))
 
 
 def is_positive_definite(
@@ -305,30 +317,15 @@ def is_positive_definite(
     """Whether every assembled summand matrix is positive semidefinite.
 
     Equivalent to nonnegativity of ``sum_ij a_i* K(s_i, s_j) a_j`` over all
-    algebra coefficient tuples.
+    algebra coefficient tuples.  ``threads`` is accepted and ignored.
     """
-    return _psd_verdict(assemble_gram(K, tol), tol, threads)
-
-
-def _difference_basis(n: int, d: int) -> np.ndarray:
-    """Columns span the zero-sum coefficient subspace: group i is
-    ``(e_i - e_n) (x) I_d``."""
-    T = np.zeros((n * d, (n - 1) * d))
-    for i in range(n - 1):
-        T[i * d : (i + 1) * d, i * d : (i + 1) * d] = np.eye(d)
-        T[(n - 1) * d :, i * d : (i + 1) * d] = -np.eye(d)
-    return T
+    return _psd_verdict(assemble_gram(K, tol), tol)
 
 
 def compressed_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Per-summand compression ``T* G T`` onto zero-sum coefficient tuples."""
-    _require_hermitian(K, tol)
-    n = K.n
-    out = []
-    for d, G in zip(K.descriptor.summand_dims, _assemble_raw(K)):
-        T = _difference_basis(n, d)
-        out.append(T.conj().T @ G @ T)
-    return out
+    """Per-summand compression onto zero-sum coefficient tuples, blocks
+    ``(G_ab - G_nb) - (G_an - G_nn)`` for ``a, b < n``."""
+    return [_shifted(G, K.n, K.n - 1, compress=True) for G in assemble_gram(K, tol)]
 
 
 def is_conditionally_positive_definite(
@@ -336,12 +333,13 @@ def is_conditionally_positive_definite(
 ) -> Verdict:
     """Whether the quadratic form is nonnegative on zero-sum coefficient tuples.
 
-    Decided by the compression ``T* G T`` per summand; the witness vector on
-    failure lives in the compressed space.  Requires at least two labels.
+    Decided by the compression per summand; the witness vector on failure
+    lives in the compressed space.  Requires at least two labels.
+    ``threads`` is accepted and ignored.
     """
     if K.n < 2:
         raise ValueError("conditional positivity needs at least two labels")
-    return _psd_verdict(compressed_gram(K, tol), tol, threads)
+    return _psd_verdict(compressed_gram(K, tol), tol)
 
 
 def shift_transform(K: Kernel, s0: str, tol: ToleranceConfig = DEFAULT_TOL) -> Kernel:
@@ -351,16 +349,8 @@ def shift_transform(K: Kernel, s0: str, tol: ToleranceConfig = DEFAULT_TOL) -> K
     hermitian by construction when ``K`` is hermitian.
     """
     i0 = K.index_set.index(s0)
-    n = K.n
-    base = K.values[i0][i0]
-    values = [
-        [
-            0.5 * (K.values[i][j] - K.values[i][i0] - K.values[i0][j] + base)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Kernel(K.index_set, K.descriptor, values)
+    grams = [0.5 * _shifted(G, K.n, i0) for G in _assemble_raw(K)]
+    return _kernel_of(K.index_set, K.descriptor, _require_finite(grams))
 
 
 def recover_affine_part(K: Kernel, s0: str) -> dict[str, AlgebraElement]:
@@ -386,21 +376,8 @@ def cond_positive_matrix_check(
     """
     if not 1 <= m <= K.n:
         raise ValueError(f"m must be in 1..{K.n}, got {m}")
-    i0 = m - 1
-    n = K.n
-    base = K.values[i0][i0]
-    shifted = Kernel(
-        K.index_set,
-        K.descriptor,
-        [
-            [
-                K.values[i][j] - K.values[i][i0] - K.values[i0][j] + base
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
-    return is_positive_definite(shifted, tol)
+    shifted = [_shifted(G, K.n, m - 1) for G in _assemble_raw(K)]
+    return _psd_verdict(_require_hermitian(shifted, K.n, tol), tol)
 
 
 def two_by_two_check(
@@ -420,15 +397,7 @@ def schur_product(K1: Kernel, K2: Kernel) -> Kernel:
     The result is guaranteed hermitian only when all summands have size one
     or the entries commute, so the table may come out raw.
     """
-    K1._check_compatible(K2)
-    return Kernel(
-        K1.index_set,
-        K1.descriptor,
-        [
-            [a @ b for a, b in zip(ra, rb)]
-            for ra, rb in zip(K1.values, K2.values)
-        ],
-    )
+    return K1._entrywise(operator.matmul, K2)
 
 
 def _pair_positivity(
@@ -438,8 +407,6 @@ def _pair_positivity(
     worst = None
     for (s, t), diff in diffs.items():
         for k, b in enumerate(diff.blocks):
-            if b.shape[0] == 0:
-                continue
             if _spec_norm(b - b.conj().T) > tol.tol_rel * max(1.0, _spec_norm(b)):
                 return Verdict(
                     False, None, context=f"non-hermitian difference at ({s}, {t})"

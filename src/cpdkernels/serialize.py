@@ -221,12 +221,19 @@ def _get(doc: dict, key: str, path: str):
 
 
 def _parse_number(x, path: str) -> float:
+    if type(x) is float and math.isfinite(x):  # the common case, decided first
+        return x
     _expect(
         isinstance(x, (int, float)) and not isinstance(x, bool),
         path,
         "expected a number",
     )
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    _expect(math.isfinite(value), path, "expected a finite number, not NaN or Infinity")
+    return value
 
 
 def _parse_block(node, d: int, path: str) -> np.ndarray:

@@ -52,8 +52,8 @@ from cpdkernels import (
     validate_metric,
 )
 from cpdkernels.cli import main as cli_main
+from helpers import KERNEL_DESCRIPTORS
 
-KERNEL_DESCRIPTORS = ([1], [2], [3], [1, 1], [2, 1], [3, 2], [2, 2, 1], [4], [1, 2, 3])
 METRIC_DESCRIPTORS = ([1], [2], [3], [1, 2], [2, 3], [1, 1, 2], [3, 1], [2, 2])
 
 

@@ -287,6 +287,33 @@ class TestInputHandling:
         assert "positive" in err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("off", [1.7e308, -1.7e308])
+    @pytest.mark.parametrize(
+        "argv",
+        [["check-pd"], ["check-cpd"], ["check-cpd", "--method", "shift"],
+         ["check-cpd", "--method", "corm"], ["transform"], ["decompose"]],
+    )
+    def test_overflow_is_an_input_error_not_a_pass(self, capsys, tmp_path, off, argv):
+        path = write_kernel(tmp_path, scalar_kernel([[1e308, off], [off, 1e308]]))
+        code, out, err = run(capsys, *argv, path)
+        assert code == 2
+        assert '"holds": true' not in out
+        assert "infinite or NaN" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_numbers_are_rejected_with_their_path(self, capsys, tmp_path, bad):
+        doc = kernel_to_json(scalar_kernel([[1.0, 0.5], [0.5, 1.0]]))
+        doc["values"][0][1][0][0][0][1] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "check-cpd", str(path))
+        assert code == 2
+        assert out == ""
+        assert "$.values[0][1][0][0][0][1]" in err
+        assert "finite" in err
+
+
 class TestReportShape:
     def test_key_order_is_fixed(self, capsys, cpd_path):
         _, out, _ = run(capsys, "check-cpd", cpd_path)

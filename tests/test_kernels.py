@@ -8,11 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpdkernels import (
+    DEFAULT_TOL,
     AlgebraDescriptor,
     AlgebraElement,
     GenConfig,
     IndexSet,
     Kernel,
+    NonFinite,
     NotHermitian,
     UnknownLabel,
     adjoint,
@@ -36,7 +38,17 @@ from cpdkernels import (
     shift_transform,
     two_by_two_check,
 )
-from helpers import block_kernel, single_block
+from cpdkernels.algebra import _cholesky_passes
+from cpdkernels.kernels import _kernel_of
+from helpers import (
+    KERNEL_DESCRIPTORS,
+    block_kernel,
+    difference_basis,
+    eigh_verdict,
+    reference_is_hermitian,
+    reference_kernel_norm,
+    single_block,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 descriptors = st.sampled_from(
@@ -408,3 +420,145 @@ class TestKernelNorm:
     def test_hermitian_generator_is_hermitian(self):
         K = random_hermitian_kernel(GenConfig(seed=13, n=4, descriptor=AlgebraDescriptor([2, 2])))
         assert K.is_hermitian()
+
+
+def _corpus(count):
+    """Seeded kernels over every entry of ``KERNEL_DESCRIPTORS``, passes and
+    failures alike."""
+    for i in range(count):
+        desc = AlgebraDescriptor(KERNEL_DESCRIPTORS[i % len(KERNEL_DESCRIPTORS)])
+        yield mixed_kernel(500 + i, 2 + i % 4, desc)
+
+
+class TestArrayHermiticity:
+    """``Kernel.is_hermitian`` on the assembled arrays against the per-entry
+    loop it replaced."""
+
+    @staticmethod
+    def _perturbed(K, factor, block):
+        """``K`` with ``K(s_1, s_2)`` moved by ``factor * tol_rel * scale``
+        in 2-norm along ``block``, a matrix of 2-norm 1 per summand."""
+        scale = max(1.0, kernel_norm(K))
+        grams = [G.copy() for G in assemble_gram(K)]
+        for d, G in zip(K.descriptor.summand_dims, grams):
+            G[0:d, d : 2 * d] += factor * DEFAULT_TOL.tol_rel * scale * block(d)
+        return _kernel_of(K.index_set, K.descriptor, grams)
+
+    @pytest.mark.parametrize("factor", [0.5, -0.5, 2.0, -2.0])
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+    def test_off_diagonal_perturbations_match_the_loop(self, factor, magnitude):
+        for i, dims in enumerate(KERNEL_DESCRIPTORS):
+            cfg = GenConfig(seed=70 + i, n=3, descriptor=AlgebraDescriptor(dims),
+                            magnitude=magnitude)
+            K = self._perturbed(random_hermitian_kernel(cfg), factor,
+                                lambda d: np.outer(np.eye(d)[0], np.eye(d)[-1]))
+            assert K.is_hermitian() == reference_is_hermitian(K)
+            assert K.is_hermitian() == (abs(factor) < 1.0)
+
+    def test_frobenius_above_the_threshold_with_the_2_norm_below(self):
+        # 0.9 * I_d has 2-norm 0.9 and Frobenius norm 0.9 * sqrt(d) >= 1.27:
+        # the prefilter cannot decide, and the exact 2-norms pass the table.
+        for i, dims in enumerate(([2], [3, 2], [4], [1, 2, 3])):
+            cfg = GenConfig(seed=90 + i, n=3, descriptor=AlgebraDescriptor(dims))
+            K = self._perturbed(random_hermitian_kernel(cfg), 0.9, np.eye)
+            assert K.is_hermitian()
+            assert reference_is_hermitian(K)
+
+    def test_raw_and_generated_tables_match_the_loop(self):
+        for K in _corpus(45):
+            assert K.is_hermitian() == reference_is_hermitian(K)
+            raw = schur_product(K, K + K)
+            assert raw.is_hermitian() == reference_is_hermitian(raw)
+
+    def test_kernel_norm_matches_the_per_entry_norms(self):
+        for K in _corpus(45):
+            assert kernel_norm(K) == reference_kernel_norm(K)
+
+
+class TestSlicedCompression:
+    def test_equals_the_difference_basis_product_bit_for_bit(self):
+        for K in _corpus(90):
+            for d, G, C in zip(K.descriptor.summand_dims, assemble_gram(K), compressed_gram(K)):
+                T = difference_basis(K.n, d)
+                assert C.tobytes() == (T.conj().T @ G @ T).tobytes()
+
+
+class TestCholeskyPassTest:
+    """The Cholesky-first verdict against an eigensolver-only verdict on
+    kernels whose compressions sit at chosen relative margins."""
+
+    MARGINS = (10.0, 2.0, 1.1, 0.9, 0.5, -0.5, -0.9, -1.1, -2.0, -10.0)
+
+    @staticmethod
+    def _at_margin(K, margin):
+        """Move every summand's bottom compressed eigenvalue to
+        ``margin * tol_rel * scale`` by a rank-one term along its
+        eigenvector (the construction of ``random_non_cpd_kernel``)."""
+        n = K.n
+        grams = [G.copy() for G in assemble_gram(K)]
+        for G, C in zip(grams, compressed_gram(K)):
+            w, u = np.linalg.eigh(0.5 * (C + C.conj().T))
+            scale = max(1.0, float(np.max(np.abs(w[1:]), initial=0.0)))
+            y = np.zeros(G.shape[0], dtype=np.complex128)
+            y[: C.shape[0]] = u[:, 0]
+            G -= (w[0] - margin * DEFAULT_TOL.tol_rel * scale) * np.outer(y, y.conj())
+        return _kernel_of(K.index_set, K.descriptor, grams)
+
+    @staticmethod
+    def _same(got, want):
+        assert got.holds == want.holds
+        if not want.holds:
+            assert got.witness.summand == want.witness.summand
+            assert got.witness.eigenvalue == want.witness.eigenvalue
+            assert got.witness.vector.tobytes() == want.witness.vector.tobytes()
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_every_route_matches_the_eigensolver(self, margin):
+        for i, dims in enumerate(KERNEL_DESCRIPTORS):
+            cfg = GenConfig(seed=200 + i, n=2 + i % 4, descriptor=AlgebraDescriptor(dims))
+            K = self._at_margin(random_cpd_kernel(cfg), margin)
+            verdict = is_conditionally_positive_definite(K)
+            assert verdict.holds == (margin > -1.0)
+            self._same(verdict, eigh_verdict(compressed_gram(K)))
+            s0 = K.index_set.labels[-1]
+            L = shift_transform(K, s0)
+            self._same(is_positive_definite(L), eigh_verdict(assemble_gram(L)))
+            shifted = assemble_gram(2.0 * L)
+            self._same(cond_positive_matrix_check(K, K.n), eigh_verdict(shifted))
+
+    @pytest.mark.parametrize("margin", [m for m in MARGINS if m > 0])
+    def test_clear_passes_are_decided_by_cholesky(self, margin):
+        for i, dims in enumerate(KERNEL_DESCRIPTORS):
+            cfg = GenConfig(seed=200 + i, n=2 + i % 4, descriptor=AlgebraDescriptor(dims))
+            K = self._at_margin(random_cpd_kernel(cfg), margin)
+            for C in compressed_gram(K):
+                assert _cholesky_passes(0.5 * (C + C.conj().T), DEFAULT_TOL)
+
+    def test_large_orders_go_to_the_eigensolver(self):
+        # Beyond N = 1060 at tol_rel = 1e-9 the backward error bound no longer
+        # fits in the tolerance, so a pass needs the eigenvalues.
+        assert _cholesky_passes(np.eye(1060), DEFAULT_TOL)
+        assert not _cholesky_passes(np.eye(1061), DEFAULT_TOL)
+
+
+class TestFailClosed:
+    OVERFLOW = [[1e308, 1.7e308], [1.7e308, 1e308]]
+
+    def test_overflowing_kernels_raise_instead_of_passing(self):
+        K = scalar_kernel(self.OVERFLOW)
+        for decide in (
+            lambda: is_positive_definite(K),
+            lambda: is_conditionally_positive_definite(K),
+            lambda: is_positive_definite(shift_transform(K, "s1")),
+            lambda: cond_positive_matrix_check(K, 1),
+        ):
+            with pytest.raises(NonFinite):
+                decide()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        K = scalar_kernel([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(NonFinite):
+            K.is_hermitian()
+        with pytest.raises(NonFinite):
+            is_conditionally_positive_definite(K)
