@@ -58,6 +58,15 @@ def _require_finite(mats: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only complex array.  One that is already read-only,
+    over memory that is read-only all the way down, is kept as it is: a
+    kernel's entries are views of its stored arrays, not copies."""
+    if isinstance(a, np.ndarray) and a.dtype == np.complex128 and not a.flags.writeable:
+        base = a.base
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return a
     out = np.array(a, dtype=np.complex128)
     out.setflags(write=False)
     return out

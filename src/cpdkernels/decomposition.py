@@ -38,9 +38,9 @@ from .kernels import (
     IndexSet,
     Kernel,
     Verdict,
-    _assemble_raw,
     _require_hermitian,
     _shifted,
+    _stack,
     assemble_gram,
     is_conditionally_positive_definite,
     is_positive_definite,
@@ -139,7 +139,8 @@ def factor_pd(
     dims = L.descriptor.summand_dims
     ranks = []
     factors = []
-    for G in assemble_gram(L, tol):
+    grams = assemble_gram(L, tol)
+    for G in grams:
         w, u = np.linalg.eigh(0.5 * (G + G.conj().T))
         order = np.argsort(w)[::-1]
         w, u = w[order], u[:, order]
@@ -150,9 +151,10 @@ def factor_pd(
         factors.append((np.sqrt(w[keep])[:, None] * u[:, keep].conj().T))
     # A label whose Gram diagonal block is exactly zero factors through the
     # origin; snap it there so eigensolver noise cannot displace it.
-    for k, (F, d) in enumerate(zip(factors, dims)):
+    for F, d, G in zip(factors, dims, grams):
+        S = _stack(G, L.n)
         for i in range(L.n):
-            if not np.any(L.values[i][i].blocks[k]):
+            if not np.any(S[i, i]):
                 F[:, i * d : (i + 1) * d] = 0.0
     V = {}
     for i, s in enumerate(L.index_set.labels):
@@ -249,7 +251,7 @@ def sum_sq_diff_decomposition(
     if not verdict.holds:
         raise PreconditionFailure("kernel is not conditionally positive definite", verdict)
 
-    shifted = [_shifted(G, n, n - 1) for G in _assemble_raw(K)]
+    shifted = [_shifted(G, n, n - 1) for G in K._grams]
     desc = K.descriptor
     families: list[dict[str, AlgebraElement]] = []
     for k, (d, B) in enumerate(zip(desc.summand_dims, _require_hermitian(shifted, n, tol))):

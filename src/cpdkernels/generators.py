@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, ModuleElement, adjoint
+from .algebra import AlgebraDescriptor, AlgebraElement, ModuleElement
 from .decomposition import decompose_cpd, majorized_kernel
 from .embedding import CStarMetric, distance_matrix_from_points, scalar_metric
 from .kernels import (
     IndexSet,
     Kernel,
+    _kernel_from_entries,
     _kernel_of,
     assemble_gram,
     compressed_gram,
@@ -98,10 +99,17 @@ def _complex_matrix(rng, rows: int, cols: int, magnitude: float) -> np.ndarray:
     return magnitude / np.sqrt(2.0) * (re + 1j * im)
 
 
-def _random_element(rng, desc: AlgebraDescriptor, magnitude: float) -> AlgebraElement:
-    return AlgebraElement(
-        desc, [_complex_matrix(rng, d, d, magnitude) for d in desc.summand_dims]
-    )
+def _random_blocks(rng, desc: AlgebraDescriptor, magnitude: float) -> list[np.ndarray]:
+    """The blocks of a random algebra element."""
+    return [_complex_matrix(rng, d, d, magnitude) for d in desc.summand_dims]
+
+
+def _table(n: int, desc: AlgebraDescriptor, entry) -> Kernel:
+    """The kernel on ``n`` labels whose entry ``(i, j)`` has the blocks
+    ``entry(i, j)``."""
+    return _kernel_from_entries(
+        IndexSet(_labels(n)), desc,
+        ((i, j, entry(i, j)) for i in range(n) for j in range(n)))
 
 
 def random_module_element(cfg: GenConfig, index: int = 0) -> ModuleElement:
@@ -120,9 +128,9 @@ def random_gram_kernel(cfg: GenConfig) -> Kernel:
     """Kernel ``L(s,t) = g(s)* g(t)`` from random algebra elements ``g``;
     positive definite by construction."""
     rng = _rng(cfg, _GRAM)
-    g = [_random_element(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
-    values = [[adjoint(gi) @ gj for gj in g] for gi in g]
-    return Kernel(IndexSet(_labels(cfg.n)), cfg.descriptor, values)
+    g = [_random_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
+    return _table(cfg.n, cfg.descriptor,
+                  lambda i, j: [a.conj().T @ b for a, b in zip(g[i], g[j])])
 
 
 def random_cpd_kernel(cfg: GenConfig, diagonal_zero: bool = False) -> Kernel:
@@ -143,7 +151,6 @@ def random_cpd_kernel(cfg: GenConfig, diagonal_zero: bool = False) -> Kernel:
     while for a commuting self-adjoint family the table scalarizes
     coordinatewise and conditional positivity is automatic.
     """
-    labels = IndexSet(_labels(cfg.n))
     if diagonal_zero:
         rng = _rng(cfg, _CPD_DIAG)
         q = cfg.rank if cfg.rank is not None else 2
@@ -155,35 +162,33 @@ def random_cpd_kernel(cfg: GenConfig, diagonal_zero: bool = False) -> Kernel:
         for _ in range(q):
             fam = []
             for _ in range(cfg.n):
-                blocks = [
+                fam.append([
                     p.conj().T
                     @ np.diag(cfg.magnitude * rng.standard_normal(d))
                     @ p
                     for d, p in zip(dims, frames)
-                ]
-                fam.append(AlgebraElement(cfg.descriptor, blocks))
+                ])
             fams.append(fam)
-        zero = AlgebraElement.zero(cfg.descriptor)
-        values = []
-        for i in range(cfg.n):
-            row = []
-            for j in range(cfg.n):
-                acc = zero
+
+        def entry(i, j):
+            blocks = []
+            for k, d in enumerate(dims):
+                acc = np.zeros((d, d), dtype=np.complex128)
                 for fam in fams:
-                    delta = fam[i] - fam[j]
-                    acc = acc - adjoint(delta) @ delta
-                row.append(acc)
-            values.append(row)
-        return Kernel(labels, cfg.descriptor, values)
+                    delta = fam[i][k] - fam[j][k]
+                    acc = acc - delta.conj().T @ delta
+                blocks.append(acc)
+            return blocks
+
+        return _table(cfg.n, cfg.descriptor, entry)
     rng = _rng(cfg, _CPD_MIX)
     alpha = 0.5 + rng.uniform()
-    g = [_random_element(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
-    c = [_random_element(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
-    values = [
-        [alpha * (adjoint(g[i]) @ g[j]) + c[i] + adjoint(c[j]) for j in range(cfg.n)]
-        for i in range(cfg.n)
-    ]
-    return Kernel(labels, cfg.descriptor, values)
+    g = [_random_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
+    c = [_random_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
+    return _table(cfg.n, cfg.descriptor, lambda i, j: [
+        alpha * (gi.conj().T @ gj) + ci + cj.conj().T
+        for gi, gj, ci, cj in zip(g[i], g[j], c[i], c[j])
+    ])
 
 
 def random_hermitian_kernel(cfg: GenConfig, detail: int = 0) -> Kernel:
@@ -191,16 +196,18 @@ def random_hermitian_kernel(cfg: GenConfig, detail: int = 0) -> Kernel:
     almost surely not conditionally positive definite."""
     rng = _rng(cfg, _HERMITIAN, detail)
     n = cfg.n
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            x = _random_element(rng, cfg.descriptor, cfg.magnitude)
-            if i == j:
-                table[i][i] = 0.5 * (x + adjoint(x))
-            else:
-                table[i][j] = x
-                table[j][i] = adjoint(x)
-    return Kernel(IndexSet(_labels(n)), cfg.descriptor, table)
+
+    def entries():
+        for i in range(n):
+            for j in range(i, n):
+                x = _random_blocks(rng, cfg.descriptor, cfg.magnitude)
+                if i == j:
+                    yield i, i, [0.5 * (b + b.conj().T) for b in x]
+                else:
+                    yield i, j, x
+                    yield j, i, [b.conj().T for b in x]
+
+    return _kernel_from_entries(IndexSet(_labels(n)), cfg.descriptor, entries())
 
 
 def random_non_cpd_kernel(cfg: GenConfig) -> Kernel:
@@ -248,7 +255,7 @@ def random_non_cpd_kernel(cfg: GenConfig) -> Kernel:
         tail = u[:, 0].reshape(n - 1, d)
         x = np.concatenate([tail, -tail.sum(axis=0, keepdims=True)]).ravel()
         x /= np.linalg.norm(x)
-        grams[k] -= mu_k * np.outer(x, x.conj())
+        grams[k] = grams[k] - mu_k * np.outer(x, x.conj())
     return _kernel_of(H.index_set, cfg.descriptor, grams)
 
 

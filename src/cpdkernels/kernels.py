@@ -1,8 +1,8 @@
 """Operator-valued kernels on a finite labeled set and their positivity tests.
 
-A kernel assigns an algebra element to every ordered pair of labels.  Every
-decision works on the assembled block matrix of each summand,
-``G[(i,j)] = K(s_i, s_j)``, viewed as an ``(n, d, n, d)`` array.  Positive
+A kernel assigns an algebra element to every ordered pair of labels.  It
+stores, and every decision works on, the assembled block matrix of each
+summand, ``G[(i,j)] = K(s_i, s_j)``, viewed as an ``(n, d, n, d)`` array.  Positive
 definiteness tests ``G`` itself; conditional positive definiteness restricts
 the quadratic form to coefficient tuples summing to zero and tests the
 compression ``C`` of ``G`` to them.  In the basis ``(e_a - e_n) (x) I_d``,
@@ -27,7 +27,9 @@ coefficients forces ``x* G x >= 0`` for every zero-sum vector tuple, i.e.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from numbers import Number
 
 import numpy as np
 
@@ -135,6 +137,12 @@ class Verdict:
 class Kernel:
     """An ``n x n`` table of algebra elements indexed by a labeled set.
 
+    The table is stored as one read-only complex ``(n d_k, n d_k)`` array per
+    summand, the assembled Gram matrix: block ``(i, j)`` of array ``k`` is
+    summand ``k`` of ``K(s_i, s_j)``.  ``values``, ``value(i, j)`` and
+    ``K[s, t]`` read a table of elements built on first use, whose blocks are
+    views of the stored arrays.
+
     Construction does not enforce hermiticity; a table may be held raw (for
     instance the entrywise product of two kernels over noncommutative
     summands).  Decision procedures reject non-hermitian tables.
@@ -142,7 +150,7 @@ class Kernel:
 
     index_set: IndexSet
     descriptor: AlgebraDescriptor
-    values: tuple[tuple[AlgebraElement, ...], ...]
+    _grams: tuple[np.ndarray, ...] = field(repr=False)
 
     def __init__(self, index_set: IndexSet, descriptor: AlgebraDescriptor, values):
         n = index_set.n
@@ -153,13 +161,32 @@ class Kernel:
             for v in row:
                 if v.descriptor != descriptor:
                     raise DimensionMismatch("kernel entry has a foreign descriptor")
+        self._store(index_set, descriptor, [
+            _assembled(np.array([[v.blocks[k] for v in row] for row in rows]))
+            for k in range(descriptor.num_summands)
+        ])
+
+    def _store(self, index_set: IndexSet, descriptor: AlgebraDescriptor, grams) -> None:
+        n = index_set.n
+        grams = tuple(_owned(G) for G in grams)
+        if [G.shape for G in grams] != [(n * d, n * d) for d in descriptor.summand_dims]:
+            raise DimensionMismatch("kernel arrays do not match the set and the algebra")
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "values", rows)
+        object.__setattr__(self, "_grams", grams)
 
     @property
     def n(self) -> int:
         return self.index_set.n
+
+    @cached_property
+    def values(self) -> tuple[tuple[AlgebraElement, ...], ...]:
+        stacks = [_stack(G, self.n) for G in self._grams]
+        return tuple(
+            tuple(AlgebraElement(self.descriptor, [S[i, j] for S in stacks])
+                  for j in range(self.n))
+            for i in range(self.n)
+        )
 
     def value(self, i: int, j: int) -> AlgebraElement:
         return self.values[i][j]
@@ -171,13 +198,14 @@ class Kernel:
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Whether ``||K(s,t) - K(t,s)*|| <= tol_rel * max(1, kernel_norm)``
         for every pair; raises ``NonFinite`` on an infinite or NaN entry."""
-        return _hermitian(_assemble_raw(self), self.n, tol)
+        return _hermitian(self._grams, self.n, tol)
 
     @classmethod
     def zero(cls, index_set: IndexSet, descriptor: AlgebraDescriptor) -> Kernel:
-        z = AlgebraElement.zero(descriptor)
         n = index_set.n
-        return cls(index_set, descriptor, [[z] * n for _ in range(n)])
+        return _kernel_of(index_set, descriptor, [
+            np.zeros((n * d, n * d), dtype=np.complex128) for d in descriptor.summand_dims
+        ])
 
     def __add__(self, other: Kernel) -> Kernel:
         return self._entrywise(operator.add, other)
@@ -187,16 +215,13 @@ class Kernel:
 
     def _entrywise(self, op, other: Kernel) -> Kernel:
         self._check_compatible(other)
-        pairs = zip(self.values, other.values)
-        return Kernel(self.index_set, self.descriptor,
-                      [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in pairs])
+        return _kernel_of(self.index_set, self.descriptor,
+                          [op(A, B) for A, B in zip(self._grams, other._grams)])
 
     def __mul__(self, scalar) -> Kernel:
-        return Kernel(
-            self.index_set,
-            self.descriptor,
-            [[scalar * v for v in row] for row in self.values],
-        )
+        if not isinstance(scalar, Number):
+            return NotImplemented
+        return _kernel_of(self.index_set, self.descriptor, [scalar * G for G in self._grams])
 
     __rmul__ = __mul__
 
@@ -205,9 +230,49 @@ class Kernel:
             raise DimensionMismatch("kernels live on different sets or algebras")
 
 
+def _kernel_of(index_set: IndexSet, desc: AlgebraDescriptor, grams) -> Kernel:
+    """The kernel whose assembled summands are ``grams``.  It takes the
+    arrays over and marks them read-only; the caller must not write to them
+    afterwards."""
+    K = object.__new__(Kernel)
+    K._store(index_set, desc, grams)
+    return K
+
+
+def _kernel_from_entries(index_set: IndexSet, desc: AlgebraDescriptor, entries) -> Kernel:
+    """The kernel with the blocks ``blocks`` at ``(i, j)`` for every ``(i, j,
+    blocks)`` of ``entries``, each written straight into its slot of the
+    arrays; every entry must be given."""
+    n = index_set.n
+    grams = [np.empty((n * d, n * d), dtype=np.complex128) for d in desc.summand_dims]
+    stacks = [_stack(G, n) for G in grams]
+    for i, j, blocks in entries:
+        for S, b in zip(stacks, blocks):
+            S[i, j] = b
+    return _kernel_of(index_set, desc, grams)
+
+
+def _owned(G: np.ndarray) -> np.ndarray:
+    """``G`` as a read-only complex array that owns its memory: a fresh one
+    is taken over, anything else (a view, another dtype) is copied."""
+    if not (G.dtype == np.complex128 and G.base is None and G.flags.c_contiguous):
+        G = np.array(G, dtype=np.complex128, order="C")
+    G.setflags(write=False)
+    return G
+
+
+def _assembled(S: np.ndarray) -> np.ndarray:
+    """The ``(n d, n d)`` matrix of an ``(n, n, d, d)`` stack of blocks, in
+    fresh memory."""
+    n, d = S.shape[0], S.shape[-1]
+    G = np.empty((n * d, n * d), dtype=np.complex128)
+    _stack(G, n)[...] = S
+    return G
+
+
 def scalar_kernel(matrix, labels=None) -> Kernel:
     """Kernel over the one-dimensional algebra from a plain ``n x n`` array."""
-    mat = np.asarray(matrix, dtype=np.complex128)
+    mat = np.array(matrix, dtype=np.complex128)
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise DimensionMismatch("scalar kernel needs a square matrix")
@@ -218,17 +283,7 @@ def scalar_kernel(matrix, labels=None) -> Kernel:
 
 def kernel_norm(K: Kernel) -> float:
     """Largest entry C*-norm; the scale used by relative tolerances."""
-    return _max_norm(_assemble_raw(K), K.n)
-
-
-def _assemble_raw(K: Kernel) -> list[np.ndarray]:
-    n = K.n
-    return [
-        np.array([[v.blocks[k] for v in row] for row in K.values])
-        .swapaxes(1, 2)
-        .reshape(n * d, n * d)
-        for k, d in enumerate(K.descriptor.summand_dims)
-    ]
+    return _max_norm(K._grams, K.n)
 
 
 def _stack(G: np.ndarray, n: int) -> np.ndarray:
@@ -265,7 +320,7 @@ def _require_hermitian(grams: list[np.ndarray], n: int, tol: ToleranceConfig) ->
 
 def _shifted(G: np.ndarray, n: int, m: int, compress: bool = False) -> np.ndarray:
     """Blocks ``K_ij - K_im - K_mj + K_mm`` of an assembled summand, as an
-    array; the one shift formula behind every CPD route.
+    array in fresh memory; the one shift formula behind every CPD route.
 
     The shift associates as ``((K_ij - K_im) - K_mj) + K_mm``, as the
     entrywise algebra expression does.  With ``compress`` (``m = n - 1``) it
@@ -275,26 +330,34 @@ def _shifted(G: np.ndarray, n: int, m: int, compress: bool = False) -> np.ndarra
     """
     d = G.shape[0] // n
     B = G.reshape(n, d, n, d)
-    if compress:
-        R = B[:m] - B[m:]
-        S = R[:, :, :m] - R[:, :, m:]
-    else:
-        S = ((B - B[:, :, m : m + 1]) - B[m : m + 1]) + B[m : m + 1, :, m : m + 1]
-    return S.reshape(S.shape[0] * d, -1)
-
-
-def _kernel_of(index_set: IndexSet, desc: AlgebraDescriptor, grams: list) -> Kernel:
-    """The kernel whose assembled summands are ``grams``."""
-    stacks = [_stack(G, index_set.n) for G in grams]
-    return Kernel(index_set, desc, [
-        [AlgebraElement(desc, [S[i, j] for S in stacks]) for j in range(index_set.n)]
-        for i in range(index_set.n)
-    ])
+    rows = m if compress else n
+    out = np.empty((rows * d, rows * d), dtype=np.complex128)
+    S = out.reshape(rows, d, rows, d)
+    # An overflow here is caught by the finiteness check that follows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if compress:
+            R = B[:m] - B[m:]
+            np.subtract(R[:, :, :m], R[:, :, m:], out=S)
+        else:
+            np.subtract(B, B[:, :, m : m + 1], out=S)
+            S -= B[m : m + 1]
+            S += B[m : m + 1, :, m : m + 1]
+    return out
 
 
 def assemble_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Per-summand block matrix: entry block (i, j) is summand k of K(s_i, s_j)."""
-    return _require_hermitian(_assemble_raw(K), K.n, tol)
+    """Per-summand block matrix: entry block (i, j) is summand k of K(s_i, s_j).
+
+    The arrays are the kernel's own storage and read-only; copy one before
+    modifying it.
+    """
+    return _require_hermitian(list(K._grams), K.n, tol)
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    # An overflow here is caught by psd_defect, which raises NonFinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (M + M.conj().T)
 
 
 def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig) -> Verdict:
@@ -303,7 +366,7 @@ def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig) -> Verdict:
     reporting that summand's bottom eigenpair."""
     defects = [
         (found, k) for k, M in enumerate(mats)
-        if (found := psd_defect(0.5 * (M + M.conj().T), tol)) is not None
+        if (found := psd_defect(_hermitian_part(M), tol)) is not None
     ]
     if not defects:
         return Verdict(True)
@@ -349,7 +412,10 @@ def shift_transform(K: Kernel, s0: str, tol: ToleranceConfig = DEFAULT_TOL) -> K
     hermitian by construction when ``K`` is hermitian.
     """
     i0 = K.index_set.index(s0)
-    grams = [0.5 * _shifted(G, K.n, i0) for G in _assemble_raw(K)]
+    grams = [_shifted(G, K.n, i0) for G in K._grams]
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by _require_finite
+        for G in grams:
+            G *= 0.5
     return _kernel_of(K.index_set, K.descriptor, _require_finite(grams))
 
 
@@ -360,9 +426,11 @@ def recover_affine_part(K: Kernel, s0: str) -> dict[str, AlgebraElement]:
     ``h(s) + h(t)*``.
     """
     i0 = K.index_set.index(s0)
-    half_base = 0.5 * K.values[i0][i0]
+    stacks = [_stack(G, K.n) for G in K._grams]
+    half_base = [0.5 * S[i0, i0] for S in stacks]
     return {
-        s: K.values[i][i0] - half_base for i, s in enumerate(K.index_set.labels)
+        s: AlgebraElement(K.descriptor, [S[i, i0] - h for S, h in zip(stacks, half_base)])
+        for i, s in enumerate(K.index_set.labels)
     }
 
 
@@ -376,7 +444,7 @@ def cond_positive_matrix_check(
     """
     if not 1 <= m <= K.n:
         raise ValueError(f"m must be in 1..{K.n}, got {m}")
-    shifted = [_shifted(G, K.n, m - 1) for G in _assemble_raw(K)]
+    shifted = [_shifted(G, K.n, m - 1) for G in K._grams]
     return _psd_verdict(_require_hermitian(shifted, K.n, tol), tol)
 
 
@@ -397,7 +465,12 @@ def schur_product(K1: Kernel, K2: Kernel) -> Kernel:
     The result is guaranteed hermitian only when all summands have size one
     or the entries commute, so the table may come out raw.
     """
-    return K1._entrywise(operator.matmul, K2)
+    K1._check_compatible(K2)
+    n = K1.n
+    return _kernel_of(K1.index_set, K1.descriptor, [
+        _assembled(np.matmul(_stack(A, n), _stack(B, n)))
+        for A, B in zip(K1._grams, K2._grams)
+    ])
 
 
 def _pair_positivity(

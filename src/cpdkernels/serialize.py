@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .decomposition import CPDDecomposition, Factorization, MajorizationCertificate
 from .embedding import CStarMetric, EmbeddingResult
-from .kernels import IndexSet, Kernel, Verdict, Witness
+from .kernels import IndexSet, Kernel, Verdict, Witness, _kernel_from_entries, _stack
 
 __all__ = [
     "SchemaError",
@@ -126,15 +126,14 @@ def module_element_to_json(x: ModuleElement) -> dict:
     }
 
 
-def _table_to_json(values) -> list:
-    return [[element_to_json(v) for v in row] for row in values]
-
-
 def kernel_to_json(K: Kernel) -> dict:
+    # One nested list of [re, im] pairs per summand, indexed [i][j][row][col].
+    pairs = [np.stack([S.real, S.imag], axis=-1).tolist()
+             for S in (_stack(G, K.n) for G in K._grams)]
     return {
         "algebra": {"summands": list(K.descriptor.summand_dims)},
         "set": list(K.index_set.labels),
-        "values": _table_to_json(K.values),
+        "values": [[[P[i][j] for P in pairs] for j in range(K.n)] for i in range(K.n)],
     }
 
 
@@ -142,7 +141,7 @@ def metric_to_json(dm: CStarMetric) -> dict:
     return {
         "algebra": {"summands": list(dm.descriptor.summand_dims)},
         "set": list(dm.index_set.labels),
-        "metric": _table_to_json(dm.values),
+        "metric": [[element_to_json(v) for v in row] for row in dm.values],
     }
 
 
@@ -238,38 +237,21 @@ def _parse_number(x, path: str) -> float:
 
 def _parse_block(node, d: int, path: str) -> np.ndarray:
     _expect(isinstance(node, list) and len(node) == d, path, f"expected {d} rows")
-    out = np.empty((d, d), dtype=np.complex128)
+    entries = []
     for i, row in enumerate(node):
-        _expect(
-            isinstance(row, list) and len(row) == d,
-            f"{path}[{i}]",
-            f"expected {d} entries",
-        )
+        if not (isinstance(row, list) and len(row) == d):
+            raise SchemaError(f"{path}[{i}]", f"expected {d} entries")
         for j, pair in enumerate(row):
-            ppath = f"{path}[{i}][{j}]"
-            _expect(
-                isinstance(pair, list) and len(pair) == 2,
-                ppath,
-                "expected an [re, im] pair",
-            )
-            out[i, j] = complex(
-                _parse_number(pair[0], ppath + "[0]"),
-                _parse_number(pair[1], ppath + "[1]"),
-            )
-    return out
-
-
-def _parse_element(node, desc: AlgebraDescriptor, path: str) -> AlgebraElement:
-    _expect(
-        isinstance(node, list) and len(node) == desc.num_summands,
-        path,
-        f"expected {desc.num_summands} blocks",
-    )
-    blocks = [
-        _parse_block(b, d, f"{path}[{k}]")
-        for k, (b, d) in enumerate(zip(node, desc.summand_dims))
-    ]
-    return AlgebraElement(desc, blocks)
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SchemaError(f"{path}[{i}][{j}]", "expected an [re, im] pair")
+            re, im = pair
+            # Paths are formatted only for numbers off the finite-float fast path.
+            if not (type(re) is float and type(im) is float
+                    and math.isfinite(re) and math.isfinite(im)):
+                re = _parse_number(re, f"{path}[{i}][{j}][0]")
+                im = _parse_number(im, f"{path}[{i}][{j}][1]")
+            entries.append(complex(re, im))
+    return np.array(entries, dtype=np.complex128).reshape(d, d)
 
 
 def _parse_header(doc, path: str) -> tuple[AlgebraDescriptor, IndexSet]:
@@ -300,34 +282,43 @@ def _parse_header(doc, path: str) -> tuple[AlgebraDescriptor, IndexSet]:
     return AlgebraDescriptor(summands), IndexSet(labels)
 
 
-def _parse_table(node, desc, index_set, path: str):
-    n = index_set.n
+def _parse_entries(node, desc: AlgebraDescriptor, n: int, path: str):
+    """Yields ``(i, j, blocks)`` for the entries of an ``n x n`` table in
+    reading order, each entry's blocks parsed."""
     _expect(isinstance(node, list) and len(node) == n, path, f"expected {n} rows")
-    values = []
     for i, row in enumerate(node):
         _expect(
             isinstance(row, list) and len(row) == n,
             f"{path}[{i}]",
             f"expected {n} entries",
         )
-        values.append(
-            [
-                _parse_element(v, desc, f"{path}[{i}][{j}]")
-                for j, v in enumerate(row)
+        for j, entry in enumerate(row):
+            epath = f"{path}[{i}][{j}]"
+            _expect(
+                isinstance(entry, list) and len(entry) == desc.num_summands,
+                epath,
+                f"expected {desc.num_summands} blocks",
+            )
+            yield i, j, [
+                _parse_block(b, d, f"{epath}[{k}]")
+                for k, (b, d) in enumerate(zip(entry, desc.summand_dims))
             ]
-        )
-    return values
 
 
 def kernel_from_json(doc, path: str = "$") -> Kernel:
+    """Parses each block straight into its slot of the kernel's arrays."""
     desc, index_set = _parse_header(doc, path)
-    values = _parse_table(_get(doc, "values", path), desc, index_set, f"{path}.values")
-    return Kernel(index_set, desc, values)
+    node = _get(doc, "values", path)
+    return _kernel_from_entries(
+        index_set, desc, _parse_entries(node, desc, index_set.n, f"{path}.values"))
 
 
 def metric_from_json(doc, path: str = "$") -> CStarMetric:
     desc, index_set = _parse_header(doc, path)
-    values = _parse_table(_get(doc, "metric", path), desc, index_set, f"{path}.metric")
+    n = index_set.n
+    values = [[None] * n for _ in range(n)]
+    for i, j, blocks in _parse_entries(_get(doc, "metric", path), desc, n, f"{path}.metric"):
+        values[i][j] = AlgebraElement(desc, blocks)
     return CStarMetric(index_set, desc, values)
 
 

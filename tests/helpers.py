@@ -13,6 +13,7 @@ from cpdkernels import (
     adjoint,
     op_norm,
 )
+from cpdkernels.serialize import element_to_json
 
 
 def single_block(matrix) -> AlgebraElement:
@@ -52,6 +53,50 @@ def reference_is_hermitian(K, tol=DEFAULT_TOL) -> bool:
             if op_norm(diff) > tol.tol_rel * scale:
                 return False
     return True
+
+
+def reference_table(K) -> list:
+    """``K``'s entries as elements over contiguous copies of their blocks,
+    the way the per-entry table held them."""
+    return [
+        [AlgebraElement(K.descriptor, [np.array(b) for b in v.blocks]) for v in row]
+        for row in K.values
+    ]
+
+
+def reference_entrywise(op, K1, K2) -> list:
+    """The table of ``op`` applied to the entries one element at a time."""
+    rows = zip(reference_table(K1), reference_table(K2))
+    return [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in rows]
+
+
+def reference_shift(K, s0) -> list:
+    """The base-point shift ``(((K_ij - K_im) - K_mj) + K_mm) / 2`` at
+    ``s0 = s_m``, one element at a time."""
+    t, m = reference_table(K), K.index_set.index(s0)
+    return [
+        [0.5 * (((t[i][j] - t[i][m]) - t[m][j]) + t[m][m]) for j in range(K.n)]
+        for i in range(K.n)
+    ]
+
+
+def reference_kernel_json(K) -> dict:
+    """The kernel document rendered one element at a time."""
+    return {
+        "algebra": {"summands": list(K.descriptor.summand_dims)},
+        "set": list(K.index_set.labels),
+        "values": [[element_to_json(v) for v in row] for row in reference_table(K)],
+    }
+
+
+def same_bits(K, table) -> bool:
+    """Whether every block of ``K`` equals the block of ``table`` bit for bit."""
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for row, ref_row in zip(K.values, table, strict=True)
+        for v, w in zip(row, ref_row, strict=True)
+        for a, b in zip(v.blocks, w.blocks, strict=True)
+    )
 
 
 def difference_basis(n: int, d: int) -> np.ndarray:

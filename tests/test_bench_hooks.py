@@ -16,7 +16,7 @@ from pathlib import Path
 
 import cpdkernels
 import cpdkernels.cli  # noqa: F401  (the tracer wraps every module, the CLI too)
-from cpdkernels import AlgebraDescriptor, GenConfig
+from cpdkernels import AlgebraDescriptor, AlgebraElement, GenConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -48,6 +48,8 @@ def test_every_route_runs_under_the_tracer_and_uninstalls():
             cpdkernels.cond_positive_matrix_check(K, 1),
         ]
         hermitian = K.is_hermitian()
+        decided_elements = tracer.elements
+        AlgebraElement.zero(K.descriptor)
         tracer.active = False
     finally:
         uninstall()
@@ -64,7 +66,10 @@ def test_every_route_runs_under_the_tracer_and_uninstalls():
         "kernels.Kernel.is_hermitian",
         "linalg.eigh",
     } <= seen
-    assert tracer.elements > 0
+    # Decisions run on the stored arrays and build no elements; the one
+    # element built on purpose shows the constructor hook still counts.
+    assert decided_elements == 0
+    assert tracer.elements == 1
 
     # Every per-layer metric the benchmark contract lists (but the overhead,
     # which compares whole runs) comes out of decisions alone.

@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import cpdkernels
 from cpdkernels import (
     AlgebraDescriptor,
     GenConfig,
@@ -296,10 +302,28 @@ class TestNonFiniteInput:
     )
     def test_overflow_is_an_input_error_not_a_pass(self, capsys, tmp_path, off, argv):
         path = write_kernel(tmp_path, scalar_kernel([[1e308, off], [off, 1e308]]))
-        code, out, err = run(capsys, *argv, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, path)
         assert code == 2
         assert '"holds": true' not in out
         assert "infinite or NaN" in err
+        assert [str(w.message) for w in caught] == []
+        assert err.count("\n") == 1 and err.startswith(f"{argv[0]}: ")
+
+    @pytest.mark.parametrize("off", [1.7e308, -1.7e308])
+    def test_overflow_leaves_only_the_error_on_stderr(self, tmp_path, off):
+        # A separate process, with Python's default warning filters.
+        path = write_kernel(tmp_path, scalar_kernel([[1e308, off], [off, 1e308]]))
+        env = {**os.environ, "PYTHONPATH": str(Path(cpdkernels.__file__).parents[1])}
+        for argv in (["check-pd"], ["check-cpd", "--method", "shift"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cpdkernels.cli", *argv, path],
+                capture_output=True, text=True, env=env, check=False)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"{argv[0]}: a kernel matrix has an infinite or NaN value (overflow?)\n")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
     def test_non_finite_numbers_are_rejected_with_their_path(self, capsys, tmp_path, bad):

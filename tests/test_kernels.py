@@ -2,6 +2,9 @@
 positivity, the base-point shift, the shifted-matrix and two-by-two
 criteria, Schur products, and the pairwise inequality checks."""
 
+import operator
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,7 +29,10 @@ from cpdkernels import (
     is_conditionally_positive_definite,
     is_positive,
     is_positive_definite,
+    dump_json,
+    kernel_from_json,
     kernel_norm,
+    kernel_to_json,
     op_norm,
     random_cpd_kernel,
     random_gram_kernel,
@@ -45,8 +51,13 @@ from helpers import (
     block_kernel,
     difference_basis,
     eigh_verdict,
+    reference_entrywise,
     reference_is_hermitian,
+    reference_kernel_json,
     reference_kernel_norm,
+    reference_shift,
+    reference_table,
+    same_bits,
     single_block,
 )
 
@@ -483,6 +494,71 @@ class TestSlicedCompression:
                 assert C.tobytes() == (T.conj().T @ G @ T).tobytes()
 
 
+class TestArrayStorage:
+    """The one read-only array per summand against the per-entry table."""
+
+    SCALARS = (0.37, -2.5, 3, np.float64(1.5), 1 - 2j)
+
+    def test_assembled_arrays_cannot_be_written(self):
+        K = random_cpd_kernel(GenConfig(seed=3, n=3, descriptor=AlgebraDescriptor([2, 1])))
+        for G in assemble_gram(K):
+            with pytest.raises(ValueError):
+                G[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                G += 1.0
+        with pytest.raises(ValueError):
+            K.value(0, 1).blocks[0][0, 0] = 1.0
+
+    def test_values_are_the_given_blocks_and_views_of_the_arrays(self):
+        rng = np.random.default_rng(5)
+        for m, dims in enumerate(KERNEL_DESCRIPTORS):
+            desc = AlgebraDescriptor(dims)
+            raw = [
+                [AlgebraElement(desc, [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                                       for d in dims]) for _ in range(3)]
+                for _ in range(3)
+            ]
+            assert same_bits(Kernel(IndexSet(["a", "b", "c"]), desc, raw), raw)
+            H = random_hermitian_kernel(GenConfig(seed=m, n=3, descriptor=desc))
+            table = reference_table(H)
+            K = Kernel(H.index_set, desc, table)
+            assert same_bits(K, table)
+            assert K.values is K.values
+            grams = assemble_gram(K)
+            for i in range(K.n):
+                for j in range(K.n):
+                    for k, (d, G) in enumerate(zip(dims, grams)):
+                        block = K.values[i][j].blocks[k]
+                        assert np.shares_memory(block, G)
+                        assert not block.flags.writeable
+                        want = table[i][j].blocks[k].tobytes()
+                        assert G[i * d : (i + 1) * d, j * d : (j + 1) * d].tobytes() == want
+
+    def test_entrywise_arithmetic_matches_the_per_entry_table(self):
+        for i, K in enumerate(_corpus(45)):
+            K2 = mixed_kernel(900 + i, K.n, K.descriptor)
+            assert same_bits(K + K2, reference_entrywise(operator.add, K, K2))
+            assert same_bits(K - K2, reference_entrywise(operator.sub, K, K2))
+            assert same_bits(schur_product(K, K2), reference_entrywise(operator.matmul, K, K2))
+            for c in self.SCALARS:
+                scaled = reference_entrywise(lambda a, _: c * a, K, K)
+                assert same_bits(c * K, scaled)
+                assert same_bits(K * c, scaled)
+
+    def test_shift_transform_matches_the_per_entry_shift(self):
+        for K in _corpus(45):
+            for s0 in {K.index_set.labels[0], K.index_set.labels[-1]}:
+                assert same_bits(shift_transform(K, s0), reference_shift(K, s0))
+
+    def test_json_round_trip_matches_the_per_entry_rendering(self):
+        for K in _corpus(45):
+            for table in (K, schur_product(K, K + K)):
+                doc = reference_kernel_json(table)
+                text = dump_json(doc)
+                assert dump_json(kernel_to_json(table)) == text
+                assert dump_json(kernel_to_json(kernel_from_json(doc))) == text
+
+
 class TestCholeskyPassTest:
     """The Cholesky-first verdict against an eigensolver-only verdict on
     kernels whose compressions sit at chosen relative margins."""
@@ -542,23 +618,27 @@ class TestCholeskyPassTest:
 
 
 class TestFailClosed:
-    OVERFLOW = [[1e308, 1.7e308], [1.7e308, 1e308]]
-
-    def test_overflowing_kernels_raise_instead_of_passing(self):
-        K = scalar_kernel(self.OVERFLOW)
-        for decide in (
-            lambda: is_positive_definite(K),
-            lambda: is_conditionally_positive_definite(K),
-            lambda: is_positive_definite(shift_transform(K, "s1")),
-            lambda: cond_positive_matrix_check(K, 1),
-        ):
+    @staticmethod
+    def _raises_without_warning(decide):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(NonFinite):
                 decide()
+        assert [str(w.message) for w in caught] == []
+
+    def test_overflowing_kernels_raise_instead_of_passing(self):
+        for off in (1.7e308, -1.7e308):
+            K = scalar_kernel([[1e308, off], [off, 1e308]])
+            for decide in (
+                lambda: is_positive_definite(K),
+                lambda: is_conditionally_positive_definite(K),
+                lambda: is_positive_definite(shift_transform(K, "s1")),
+                lambda: cond_positive_matrix_check(K, 1),
+            ):
+                self._raises_without_warning(decide)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_raise(self, bad):
         K = scalar_kernel([[1.0, bad], [bad, 1.0]])
-        with pytest.raises(NonFinite):
-            K.is_hermitian()
-        with pytest.raises(NonFinite):
-            is_conditionally_positive_definite(K)
+        self._raises_without_warning(K.is_hermitian)
+        self._raises_without_warning(lambda: is_conditionally_positive_definite(K))
