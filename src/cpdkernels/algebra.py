@@ -31,6 +31,9 @@ __all__ = [
     "adjoint",
     "is_positive",
     "psd_defect",
+    "psd_margins",
+    "hermitian_defects",
+    "spectral_norms",
     "leq",
     "abs_value",
     "op_norm",
@@ -51,9 +54,9 @@ class NonFinite(ValueError):
     never decided as a pass."""
 
 
-def _require_finite(mats: list[np.ndarray]) -> list[np.ndarray]:
+def _require_finite(mats: list[np.ndarray], what: str = "a kernel matrix") -> list[np.ndarray]:
     if not all(np.isfinite(M).all() for M in mats):
-        raise NonFinite("a kernel matrix has an infinite or NaN value (overflow?)")
+        raise NonFinite(f"{what} has an infinite or NaN value (overflow?)")
     return mats
 
 
@@ -80,22 +83,17 @@ def _spec_norm(a: np.ndarray) -> float:
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """``(a + a*) / 2`` of a matrix, or of each matrix of a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a hermitian matrix, clamping negative
-    eigenvalues to zero so roundoff on the semidefinite boundary cannot
-    produce complex output."""
+    """Principal square root of a hermitian matrix, or of each matrix of a
+    stack, clamping negative eigenvalues to zero so roundoff on the
+    semidefinite boundary cannot produce complex output."""
     w, u = np.linalg.eigh(_hermitian_part(a))
     w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
-
-
-def min_eig(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of a hermitian matrix and a unit eigenvector."""
-    w, u = np.linalg.eigh(a)
-    return float(w[0]), u[:, 0].copy()
+    return (u * np.sqrt(w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -280,10 +278,7 @@ def adjoint(x: AlgebraElement) -> AlgebraElement:
 
 
 def _is_hermitian(x: AlgebraElement, tol: ToleranceConfig) -> bool:
-    for b in x.blocks:
-        if _spec_norm(b - b.conj().T) > tol.tol_rel * max(1.0, _spec_norm(b)):
-            return False
-    return True
+    return not any(hermitian_defects(b, tol) for b in x.blocks)
 
 
 def is_positive(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -343,6 +338,37 @@ def psd_defect(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     w, u = np.linalg.eigh(h)
     margin = _require_finite([w])[0][0] / max(1.0, float(np.max(np.abs(w))))
     return (margin, float(w[0]), u[:, 0].copy()) if margin < -tol.tol_rel else None
+
+
+def spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """2-norm of each matrix of a ``(..., k, k)`` stack, by one batched SVD;
+    an infinite or NaN entry raises ``NonFinite``."""
+    return np.linalg.norm(_require_finite([stack], "a matrix")[0], 2, axis=(-2, -1))
+
+
+def hermitian_defects(stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix ``M`` of a ``(..., k, k)`` stack, whether it is not
+    hermitian at tolerance: ``||M - M*|| > tol_rel * max(1, ||M||)``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
+        skew = stack - stack.conj().swapaxes(-1, -2)
+    return spectral_norms(skew) > tol.tol_rel * np.maximum(1.0, spectral_norms(stack))
+
+
+def psd_margins(stack: np.ndarray, scale=None):
+    """Positivity margins of the hermitian parts of a ``(..., k, k)`` stack,
+    by one batched ``eigh`` (the same bits as one per matrix; ``eigvalsh``
+    differs): the bottom eigenvalues, the margins ``lambda_min / max(1,
+    scale)``, and a function from a stack index to that matrix's bottom unit
+    eigenvector, the witness.  ``scale`` broadcasts against the leading axes
+    and defaults to each matrix's ``max |lambda|``.  Fails closed: a
+    non-finite hermitian part or eigenvalue raises ``NonFinite``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        h = _require_finite([_hermitian_part(stack)], "a matrix")[0]
+    w, u = np.linalg.eigh(h)
+    w = _require_finite([w], "a matrix")[0]
+    lam = w[..., 0]
+    floor = np.maximum(1.0, np.abs(w).max(axis=-1) if scale is None else scale)
+    return lam, lam / floor, lambda index: u[index][:, 0].copy()
 
 
 def leq(x: AlgebraElement, y: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import AlgebraDescriptor, DimensionMismatch, ToleranceConfig, op_norm
+from .algebra import AlgebraDescriptor, DimensionMismatch, ToleranceConfig, spectral_norms
 from .decomposition import (
     PreconditionFailure,
     decompose_cpd,
@@ -240,6 +240,20 @@ def _verify_block(err: float, bound: float) -> dict:
     return {"max_error": err, "bound": bound, "ok": bool(err <= bound)}
 
 
+def _decided(cmd: str, verdict, artifacts, clock: _Clock, tol) -> tuple[int, Report]:
+    """The exit code and report of a command that decides a property."""
+    clock.lap("compute")
+    return (0 if verdict.holds else 1), Report(
+        cmd, bool(verdict.holds), verdict_to_json(verdict), artifacts, clock.phases, tol)
+
+
+def _built(cmd: str, artifacts: dict, clock: _Clock, tol) -> tuple[int, Report]:
+    """The exit code and report of a construction, failed by its verify block."""
+    clock.lap("compute")
+    code = 0 if artifacts.get("verify", {"ok": True})["ok"] else 1
+    return code, Report(cmd, code == 0, None, artifacts, clock.phases, tol)
+
+
 def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
     clock = _Clock()
     cmd = args.command
@@ -253,29 +267,16 @@ def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
         base = is_conditionally_positive_definite(K, tol, args.threads)
         square = schur_product(K, K)
         product = is_conditionally_positive_definite(square, tol, args.threads)
-        clock.lap("compute")
-        report = Report(
-            command=cmd,
-            verdict=bool(product.holds),
-            witness=verdict_to_json(product),
-            artifacts={
-                "kernel": kernel_to_json(K),
-                "kernel_verdict": verdict_to_json(base),
-                "schur_square": kernel_to_json(square),
-            },
-            timings_ms=clock.phases,
-            tolerances=tol,
-        )
-        return (0 if product.holds else 1), report
+        return _decided(cmd, product, {
+            "kernel": kernel_to_json(K),
+            "kernel_verdict": verdict_to_json(base),
+            "schur_square": kernel_to_json(square),
+        }, clock, tol)
 
     if cmd == "check-pd":
         K = _load_kernel(args.input)
         clock.lap("parse")
-        verdict = is_positive_definite(K, tol, args.threads)
-        clock.lap("compute")
-        report = Report(cmd, bool(verdict.holds), verdict_to_json(verdict), None,
-                        clock.phases, tol)
-        return (0 if verdict.holds else 1), report
+        return _decided(cmd, is_positive_definite(K, tol, args.threads), None, clock, tol)
 
     if cmd == "check-cpd":
         K = _load_kernel(args.input)
@@ -287,10 +288,7 @@ def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
             verdict = is_positive_definite(shift_transform(K, s0, tol), tol, args.threads)
         else:
             verdict = cond_positive_matrix_check(K, K.index_set.index(s0) + 1, tol)
-        clock.lap("compute")
-        report = Report(cmd, bool(verdict.holds), verdict_to_json(verdict),
-                        {"method": args.method, "base_point": s0}, clock.phases, tol)
-        return (0 if verdict.holds else 1), report
+        return _decided(cmd, verdict, {"method": args.method, "base_point": s0}, clock, tol)
 
     if cmd == "transform":
         K = _load_kernel(args.input)
@@ -309,29 +307,20 @@ def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
         clock.lap("parse")
         dec = decompose_cpd(K, s0, tol)
         artifacts = {"decomposition": decomposition_to_json(dec)}
-        code = 0
         if args.verify:
             err = kernel_norm(reconstruct_cpd(dec) - K)
-            block = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + kernel_norm(K)))
-            artifacts["verify"] = block
-            code = 0 if block["ok"] else 1
-        clock.lap("compute")
-        return code, Report(cmd, code == 0, None, artifacts, clock.phases, tol)
+            artifacts["verify"] = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + kernel_norm(K)))
+        return _built(cmd, artifacts, clock, tol)
 
     if cmd == "ssd-decompose":
         K = _load_kernel(args.input)
         clock.lap("parse")
         families = sum_sq_diff_decomposition(K, tol)
         artifacts = {"families": families_to_json(families, K.index_set)}
-        code = 0
         if args.verify:
-            recon = sum_sq_diff_reconstruct(families, K.index_set, K.descriptor)
-            err = kernel_norm(recon - K)
-            block = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + kernel_norm(K)))
-            artifacts["verify"] = block
-            code = 0 if block["ok"] else 1
-        clock.lap("compute")
-        return code, Report(cmd, code == 0, None, artifacts, clock.phases, tol)
+            err = kernel_norm(sum_sq_diff_reconstruct(families, K.index_set, K.descriptor) - K)
+            artifacts["verify"] = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + kernel_norm(K)))
+        return _built(cmd, artifacts, clock, tol)
 
     if cmd == "embed":
         dm = _load_metric(args.input)
@@ -339,24 +328,15 @@ def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
         clock.lap("parse")
         result = embed(dm, s0, tol)
         artifacts = {"embedding": embedding_to_json(result)}
-        code = 0
         if args.verify:
-            realized = result.realized_metric()
-            err = max(_metric_errors(dm, realized))
-            block = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + metric_norm(dm)))
-            artifacts["verify"] = block
-            code = 0 if block["ok"] else 1
-        clock.lap("compute")
-        return code, Report(cmd, code == 0, None, artifacts, clock.phases, tol)
+            err = _metric_error(dm, result.realized_metric())
+            artifacts["verify"] = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + metric_norm(dm)))
+        return _built(cmd, artifacts, clock, tol)
 
     if cmd == "check-metric":
         dm = _load_metric(args.input)
         clock.lap("parse")
-        verdict = validate_metric(dm, tol)
-        clock.lap("compute")
-        report = Report(cmd, bool(verdict.holds), verdict_to_json(verdict), None,
-                        clock.phases, tol)
-        return (0 if verdict.holds else 1), report
+        return _decided(cmd, validate_metric(dm, tol), None, clock, tol)
 
     if cmd == "majorize":
         K = _load_kernel(args.kernel)
@@ -373,10 +353,9 @@ def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
     raise AssertionError(f"unhandled command {cmd!r}")
 
 
-def _metric_errors(a: CStarMetric, b: CStarMetric):
-    for ra, rb in zip(a.values, b.values):
-        for va, vb in zip(ra, rb):
-            yield op_norm(va - vb)
+def _metric_error(a: CStarMetric, b: CStarMetric) -> float:
+    """Largest entry C*-norm of ``a - b``."""
+    return max(float(spectral_norms(A - B).max()) for A, B in zip(a._stacks, b._stacks))
 
 
 def _cmd_gen(args) -> tuple[int, Report | None]:

@@ -30,7 +30,6 @@ from .algebra import (
     _spec_norm,
     adjoint,
     im_part,
-    module_inner,
     module_norm,
     op_norm,
 )
@@ -38,6 +37,8 @@ from .kernels import (
     IndexSet,
     Kernel,
     Verdict,
+    _assembled,
+    _kernel_of,
     _require_hermitian,
     _shifted,
     _stack,
@@ -163,13 +164,23 @@ def factor_pd(
     return Factorization(L.index_set, L.descriptor, tuple(ranks), V)
 
 
+def _points(fact: Factorization) -> list[np.ndarray]:
+    """Per summand, the ``V(s_i)`` blocks as one ``(n, r, d)`` array."""
+    return [np.array([fact.V[s].blocks[k] for s in fact.index_set.labels])
+            for k in range(fact.descriptor.num_summands)]
+
+
+def _cross(X: np.ndarray, P=None) -> np.ndarray:
+    """``V(s_i)* P V(s_j)`` (``P = I`` when ``None``) as an ``(n, n, d, d)``
+    stack, from the ``(n, r, d)`` points of one summand."""
+    Y = X.conj().swapaxes(-1, -2)
+    return (Y if P is None else Y @ P)[:, None] @ X[None, :]
+
+
 def factor_kernel(fact: Factorization) -> Kernel:
     """The Gram kernel ``(s,t) -> V(s)* V(t)`` of a factorization."""
-    labels = fact.index_set.labels
-    values = [
-        [module_inner(fact.V[s], fact.V[t]) for t in labels] for s in labels
-    ]
-    return Kernel(fact.index_set, fact.descriptor, values)
+    return _kernel_of(fact.index_set, fact.descriptor,
+                      [_assembled(_cross(X)) for X in _points(fact)])
 
 
 def decompose_cpd(
@@ -200,18 +211,15 @@ def decompose_cpd(
 def reconstruct_cpd(dec: CPDDecomposition) -> Kernel:
     """Evaluate ``2 V(s)*V(t) - V(s)*V(s) - V(t)*V(t) - h(s) - h(t)*``."""
     fact = dec.factorization
-    labels = fact.index_set.labels
-    diag = {s: module_inner(fact.V[s], fact.V[s]) for s in labels}
-    values = []
-    for s in labels:
-        row = []
-        for t in labels:
-            cross = module_inner(fact.V[s], fact.V[t])
-            row.append(
-                2.0 * cross - diag[s] - diag[t] - dec.h[s] - adjoint(dec.h[t])
-            )
-        values.append(row)
-    return Kernel(fact.index_set, fact.descriptor, values)
+    n, labels = fact.index_set.n, fact.index_set.labels
+    grams = []
+    for k, X in enumerate(_points(fact)):
+        C = _cross(X)
+        D = C[range(n), range(n)]
+        H = np.array([dec.h[s].blocks[k] for s in labels])
+        grams.append(_assembled(
+            2.0 * C - D[:, None] - D[None, :] - H[:, None] - H.conj().swapaxes(-1, -2)[None, :]))
+    return _kernel_of(fact.index_set, fact.descriptor, grams)
 
 
 def sum_sq_diff_decomposition(
@@ -279,19 +287,16 @@ def sum_sq_diff_reconstruct(
 ) -> Kernel:
     """Evaluate ``-sum_k |e_i^k - e_j^k|^2`` back into a kernel table; the
     inverse of ``sum_sq_diff_decomposition`` up to roundoff."""
-    zero = AlgebraElement.zero(descriptor)
-    labels = index_set.labels
-    values = []
-    for s in labels:
-        row = []
-        for t in labels:
-            acc = zero
-            for fam in families:
-                delta = fam[s] - fam[t]
-                acc = acc - adjoint(delta) @ delta
-            row.append(acc)
-        values.append(row)
-    return Kernel(index_set, descriptor, values)
+    n, labels = index_set.n, index_set.labels
+    grams = []
+    for k, d in enumerate(descriptor.summand_dims):
+        acc = np.zeros((n, n, d, d), dtype=np.complex128)
+        for fam in families:
+            X = np.array([fam[s].blocks[k] for s in labels])
+            delta = X[:, None] - X[None, :]
+            acc = acc - delta.conj().swapaxes(-1, -2) @ delta
+        grams.append(_assembled(acc))
+    return _kernel_of(index_set, descriptor, grams)
 
 
 def kernel_leq(K1: Kernel, K2: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:
@@ -309,27 +314,18 @@ def majorized_kernel(fact: Factorization, operator_blocks) -> Kernel:
     kernels majorized by the one ``fact`` factors.
     """
     P = [np.asarray(p, dtype=np.complex128) for p in operator_blocks]
-    labels = fact.index_set.labels
+    n = fact.index_set.n
     if len(P) != fact.descriptor.num_summands:
         raise DimensionMismatch("one operator block per summand required")
     for p, r in zip(P, fact.ranks):
         if p.shape != (r, r):
             raise DimensionMismatch("operator block does not match factor rank")
-
-    def form(s: str, t: str) -> AlgebraElement:
-        return AlgebraElement(
-            fact.descriptor,
-            [
-                vs.conj().T @ p @ vt
-                for vs, vt, p in zip(fact.V[s].blocks, fact.V[t].blocks, P)
-            ],
-        )
-
-    diag = {s: form(s, s) for s in labels}
-    values = [
-        [2.0 * form(s, t) - diag[s] - diag[t] for t in labels] for s in labels
-    ]
-    return Kernel(fact.index_set, fact.descriptor, values)
+    grams = []
+    for X, p in zip(_points(fact), P):
+        F = _cross(X, p)
+        D = F[range(n), range(n)]
+        grams.append(_assembled(2.0 * F - D[:, None] - D[None, :]))
+    return _kernel_of(fact.index_set, fact.descriptor, grams)
 
 
 def _check_pro1_shape(K: Kernel, s0: str, tol: ToleranceConfig, name: str) -> None:

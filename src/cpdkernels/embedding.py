@@ -15,6 +15,7 @@ validates its output instead of trusting the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .algebra import (
     DimensionMismatch,
     ModuleElement,
     ToleranceConfig,
-    min_eig,
-    module_abs,
-    op_norm,
+    _psd_sqrt,
+    hermitian_defects,
+    psd_margins,
+    spectral_norms,
 )
 from .decomposition import Factorization, PreconditionFailure, factor_pd
 from .kernels import (
@@ -35,6 +37,8 @@ from .kernels import (
     Kernel,
     Verdict,
     Witness,
+    _assembled,
+    _kernel_of,
     is_conditionally_positive_definite,
     shift_transform,
 )
@@ -82,10 +86,8 @@ class CStarMetric:
         rows = tuple(tuple(row) for row in values)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DimensionMismatch(f"distance table must be {n} x {n}")
-        for row in rows:
-            for v in row:
-                if v.descriptor != descriptor:
-                    raise DimensionMismatch("distance entry has a foreign descriptor")
+        if any(v.descriptor != descriptor for row in rows for v in row):
+            raise DimensionMismatch("distance entry has a foreign descriptor")
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "values", rows)
@@ -101,6 +103,26 @@ class CStarMetric:
         s, t = pair
         return self.values[self.index_set.index(s)][self.index_set.index(t)]
 
+    @cached_property
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        """The table as one ``(n, n, d, d)`` array per summand."""
+        return tuple(np.array([[v.blocks[k] for v in row] for row in self.values])
+                     for k in range(self.descriptor.num_summands))
+
+
+def _metric_of(index_set: IndexSet, desc: AlgebraDescriptor, stacks) -> CStarMetric:
+    """The metric whose table is ``stacks``, one ``(n, n, d, d)`` array per
+    summand.  It takes the arrays over and marks them read-only; its entries'
+    blocks are views of them."""
+    for S in stacks:
+        S.setflags(write=False)
+    n = index_set.n
+    dm = CStarMetric(index_set, desc, [
+        [AlgebraElement(desc, [S[i, j] for S in stacks]) for j in range(n)] for i in range(n)
+    ])
+    dm.__dict__["_stacks"] = tuple(stacks)
+    return dm
+
 
 def scalar_metric(matrix, labels=None) -> CStarMetric:
     """Distance table over the one-dimensional algebra from a plain array."""
@@ -110,38 +132,12 @@ def scalar_metric(matrix, labels=None) -> CStarMetric:
         raise DimensionMismatch("scalar metric needs a square matrix")
     if labels is None:
         labels = [f"s{i + 1}" for i in range(n)]
-    desc = AlgebraDescriptor([1])
-    values = [
-        [AlgebraElement(desc, [mat[i, j].reshape(1, 1)]) for j in range(n)]
-        for i in range(n)
-    ]
-    return CStarMetric(IndexSet(labels), desc, values)
+    return _metric_of(IndexSet(labels), AlgebraDescriptor([1]), [mat.reshape(n, n, 1, 1).copy()])
 
 
 def metric_norm(dm: CStarMetric) -> float:
     """Largest entry C*-norm; the scale used by relative tolerances."""
-    return max(op_norm(v) for row in dm.values for v in row)
-
-
-def _positive_defect(x: AlgebraElement, tol: ToleranceConfig):
-    """Worst relative negativity of a self-adjoint candidate, or a hermiticity
-    complaint; ``None`` when ``x`` is positive at tolerance."""
-    for k, b in enumerate(x.blocks):
-        if b.size and np.linalg.norm(b - b.conj().T, 2) > tol.tol_rel * max(
-            1.0, np.linalg.norm(b, 2)
-        ):
-            return ("hermitian", k, None, None)
-    worst = None
-    for k, b in enumerate(x.blocks):
-        lam, vec = min_eig(0.5 * (b + b.conj().T))
-        scale = max(1.0, op_norm(x))
-        margin = lam / scale
-        if worst is None or margin < worst[0]:
-            worst = (margin, k, lam, vec)
-    if worst is not None and worst[0] < -tol.tol_rel:
-        _, k, lam, vec = worst
-        return ("negative", k, lam, vec)
-    return None
+    return max(float(spectral_norms(S).max()) for S in dm._stacks)
 
 
 def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:
@@ -152,68 +148,65 @@ def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verd
     triangle inequality ``d(s,t) <= d(s,u) + d(u,t)`` holds in the cone
     order.  The verdict context names the axiom and the offending labels;
     positivity and triangle failures also carry an eigenvector witness.
+
+    Each axiom is decided at once on one ``(n, n, d, d)`` stack per summand,
+    and the failure reported is the first in this visit order: entries
+    row-major, each checked for self-adjointness before positivity; pairs
+    ``i < j`` and labels in order; triangles ``(i, j, u)`` in order with the
+    summand innermost, the worst margin winning and the first one on a tie.
+    An entry is scaled by its own C*-norm, a triangle by the C*-norm of its
+    slack ``(d(i,u) + d(u,j)) - d(i,j)``, and the other axioms by the largest
+    entry norm.  Fails closed: an infinite or NaN value in the table or met
+    in an axiom's arithmetic (an overflow) raises ``NonFinite``.
     """
-    labels = dm.index_set.labels
-    n = dm.n
-    scale = max(1.0, metric_norm(dm))
-    for i, s in enumerate(labels):
-        for j, t in enumerate(labels):
-            defect = _positive_defect(dm.values[i][j], tol)
-            if defect is not None:
-                kind, k, lam, vec = defect
-                if kind == "hermitian":
-                    return Verdict(
-                        False, None, context=f"value at ({s}, {t}) is not self-adjoint"
-                    )
-                return Verdict(
-                    False,
-                    Witness(k, lam, vec),
-                    context=f"value at ({s}, {t}) is not positive",
-                )
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = dm.values[i][j] - dm.values[j][i]
-            if op_norm(diff) > tol.tol_rel * scale:
-                return Verdict(
-                    False,
-                    None,
-                    context=f"symmetry fails at ({labels[i]}, {labels[j]})",
-                )
-    for i, s in enumerate(labels):
-        if op_norm(dm.values[i][i]) > tol.tol_rel * scale:
-            return Verdict(False, None, context=f"diagonal is not zero at {s}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if op_norm(dm.values[i][j]) <= tol.tol_rel * scale:
-                return Verdict(
-                    False,
-                    None,
-                    context=(
-                        f"distinct labels ({labels[i]}, {labels[j]}) "
-                        "are at distance zero"
-                    ),
-                )
-    worst = None
-    for i, s in enumerate(labels):
-        for j, t in enumerate(labels):
-            if i == j:
-                continue
-            for u_idx, u in enumerate(labels):
-                if u_idx == i or u_idx == j:
-                    continue
-                slack = dm.values[i][u_idx] + dm.values[u_idx][j] - dm.values[i][j]
-                for k, b in enumerate(slack.blocks):
-                    lam, vec = min_eig(0.5 * (b + b.conj().T))
-                    margin = lam / max(1.0, op_norm(slack))
-                    if worst is None or margin < worst[0]:
-                        worst = (margin, k, lam, vec, s, u, t)
-    if worst is not None and worst[0] < -tol.tol_rel:
-        _, k, lam, vec, s, u, t = worst
+    labels, n, stacks = dm.index_set.labels, dm.n, dm._stacks
+    norms = np.max([spectral_norms(S) for S in stacks], axis=0)
+    entries = [psd_margins(S, norms) for S in stacks]
+    margins = np.stack([m for _, m, _ in entries], axis=-1)
+    skew = np.any([hermitian_defects(S, tol) for S in stacks], axis=0)
+    bad = skew | (margins.min(axis=-1) < -tol.tol_rel)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        if skew[i, j]:
+            return Verdict(
+                False, None, context=f"value at ({labels[i]}, {labels[j]}) is not self-adjoint"
+            )
+        k = int(np.argmin(margins[i, j]))
+        lam, _, vector = entries[k]
         return Verdict(
             False,
-            Witness(k, lam, vec),
-            context=f"triangle inequality fails for ({s}, {u}, {t})",
+            Witness(k, float(lam[i, j]), vector((i, j))),
+            context=f"value at ({labels[i]}, {labels[j]}) is not positive",
         )
+    cut = tol.tol_rel * max(1.0, float(norms.max()))
+    upper = np.triu_indices(n, 1)
+    asym = np.max([spectral_norms(S[upper] - S[upper[::-1]]) for S in stacks], axis=0)
+    for failed, where, context in (
+        (asym > cut, upper, "symmetry fails at ({}, {})"),
+        (np.diagonal(norms) > cut, (range(n),), "diagonal is not zero at {}"),
+        (norms[upper] <= cut, upper, "distinct labels ({}, {}) are at distance zero"),
+    ):
+        if failed.any():
+            p = int(np.argmax(failed))
+            return Verdict(False, None, context=context.format(*(labels[w[p]] for w in where)))
+    i, j, u = np.indices((n, n, n)).reshape(3, -1)
+    keep = (i != j) & (u != i) & (u != j)
+    i, j, u = i[keep], j[keep], u[keep]
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
+        slacks = [(S[i, u] + S[u, j]) - S[i, j] for S in stacks]
+    scale = np.max([spectral_norms(T) for T in slacks], axis=0)
+    triangles = [psd_margins(T, scale) for T in slacks]
+    margins = np.stack([m for _, m, _ in triangles], axis=-1)
+    if margins.size:
+        t, k = np.unravel_index(np.argmin(margins), margins.shape)
+        if margins[t, k] < -tol.tol_rel:
+            lam, _, vector = triangles[k]
+            return Verdict(
+                False,
+                Witness(int(k), float(lam[t]), vector(t)),
+                context=(f"triangle inequality fails for "
+                         f"({labels[i[t]]}, {labels[u[t]]}, {labels[j[t]]})"),
+            )
     return Verdict(True)
 
 
@@ -232,8 +225,7 @@ def metric_to_kernel(
         verdict = validate_metric(dm, tol)
         if not verdict.holds:
             raise InvalidMetric(verdict.context or "metric axioms fail", verdict)
-    values = [[-(v @ v) for v in row] for row in dm.values]
-    return Kernel(dm.index_set, dm.descriptor, values)
+    return _kernel_of(dm.index_set, dm.descriptor, [_assembled(-(S @ S)) for S in dm._stacks])
 
 
 def is_embeddable(
@@ -270,11 +262,19 @@ class EmbeddingResult:
     def realized_metric(self) -> CStarMetric:
         """Distances actually achieved by the embedded points."""
         fact = self.factorization
-        labels = fact.index_set.labels
-        values = [
-            [module_abs(fact.V[s] - fact.V[t]) for t in labels] for s in labels
-        ]
-        return CStarMetric(fact.index_set, fact.descriptor, values)
+        points = [fact.V[s] for s in fact.index_set.labels]
+        return _metric_of(fact.index_set, fact.descriptor, _abs_differences(points))
+
+
+def _abs_differences(points: list[ModuleElement]) -> list[np.ndarray]:
+    """``module_abs(x_i - x_j)`` for every pair of points, one ``(n, n, d,
+    d)`` stack per summand."""
+    out = []
+    for k in range(points[0].descriptor.num_summands):
+        X = np.array([x.blocks[k] for x in points])
+        D = X[:, None] - X[None, :]
+        out.append(_psd_sqrt(D.conj().swapaxes(-1, -2) @ D))
+    return out
 
 
 def embed(
@@ -325,22 +325,19 @@ def distance_matrix_from_points(
     first = points[labels[0]]
     for x in points.values():
         first._check_compatible(x)
-    desc = first.descriptor
-    zero = AlgebraElement.zero(desc)
+    stacks = _abs_differences([points[s] for s in labels])
     n = len(labels)
-    values = [[zero] * n for _ in range(n)]
-    for i, s in enumerate(labels):
-        for j, t in enumerate(labels):
-            if i != j:
-                values[i][j] = module_abs(points[s] - points[t])
-    scale = max(1.0, max(op_norm(v) for row in values for v in row))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if op_norm(values[i][j]) <= tol.tol_rel * scale:
-                raise InvalidMetric(
-                    f"labels ({labels[i]}, {labels[j]}) name coincident points"
-                )
-    dm = CStarMetric(index_set, desc, values)
+    for S in stacks:
+        S[range(n), range(n)] = 0.0
+    norms = np.max([spectral_norms(S) for S in stacks], axis=0)
+    upper = np.triu_indices(n, 1)
+    coincident = norms[upper] <= tol.tol_rel * max(1.0, float(norms.max()))
+    if coincident.any():
+        p = int(np.argmax(coincident))
+        raise InvalidMetric(
+            f"labels ({labels[upper[0][p]]}, {labels[upper[1][p]]}) name coincident points"
+        )
+    dm = _metric_of(index_set, first.descriptor, stacks)
     verdict = validate_metric(dm, tol)
     if not verdict.holds:
         raise InvalidMetric(verdict.context or "metric axioms fail", verdict)

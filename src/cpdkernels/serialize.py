@@ -26,7 +26,7 @@ from .algebra import (
     ToleranceConfig,
 )
 from .decomposition import CPDDecomposition, Factorization, MajorizationCertificate
-from .embedding import CStarMetric, EmbeddingResult
+from .embedding import CStarMetric, EmbeddingResult, _metric_of
 from .kernels import IndexSet, Kernel, Verdict, Witness, _kernel_from_entries, _stack
 
 __all__ = [
@@ -60,7 +60,24 @@ class SchemaError(ValueError):
 def _render(obj, out: list, indent: int, level: int) -> None:
     pad = " " * (indent * (level + 1))
     closing = " " * (indent * level)
-    if obj is None:
+    # Lists first: they are most of the nodes of a document.
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        if all(type(v) is float for v in obj):  # a leaf list, in one join
+            if not all(map(math.isfinite, obj)):
+                raise ValueError("non-finite floats cannot be serialized")
+            items = (",\n" + pad).join([format(v, ".17g") for v in obj])
+            out.append("[\n" + pad + items + "\n" + closing + "]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(obj):
+            out.append(pad)
+            _render(v, out, indent, level + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(closing + "]")
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
@@ -85,16 +102,6 @@ def _render(obj, out: list, indent: int, level: int) -> None:
             _render(v, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(closing + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _render(v, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(closing + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -112,7 +119,7 @@ def _pair(z: complex) -> list[float]:
 
 
 def _block_to_json(b: np.ndarray) -> list:
-    return [[_pair(b[i, j]) for j in range(b.shape[1])] for i in range(b.shape[0])]
+    return np.stack([b.real, b.imag], axis=-1).tolist()
 
 
 def element_to_json(x: AlgebraElement) -> list:
@@ -126,23 +133,22 @@ def module_element_to_json(x: ModuleElement) -> dict:
     }
 
 
-def kernel_to_json(K: Kernel) -> dict:
+def _table_to_json(index_set: IndexSet, desc: AlgebraDescriptor, key: str, stacks) -> dict:
     # One nested list of [re, im] pairs per summand, indexed [i][j][row][col].
-    pairs = [np.stack([S.real, S.imag], axis=-1).tolist()
-             for S in (_stack(G, K.n) for G in K._grams)]
+    pairs, n = [_block_to_json(S) for S in stacks], index_set.n
     return {
-        "algebra": {"summands": list(K.descriptor.summand_dims)},
-        "set": list(K.index_set.labels),
-        "values": [[[P[i][j] for P in pairs] for j in range(K.n)] for i in range(K.n)],
+        "algebra": {"summands": list(desc.summand_dims)},
+        "set": list(index_set.labels),
+        key: [[[P[i][j] for P in pairs] for j in range(n)] for i in range(n)],
     }
+
+
+def kernel_to_json(K: Kernel) -> dict:
+    return _table_to_json(K.index_set, K.descriptor, "values", [_stack(G, K.n) for G in K._grams])
 
 
 def metric_to_json(dm: CStarMetric) -> dict:
-    return {
-        "algebra": {"summands": list(dm.descriptor.summand_dims)},
-        "set": list(dm.index_set.labels),
-        "metric": [[element_to_json(v) for v in row] for row in dm.values],
-    }
+    return _table_to_json(dm.index_set, dm.descriptor, "metric", dm._stacks)
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -316,10 +322,11 @@ def kernel_from_json(doc, path: str = "$") -> Kernel:
 def metric_from_json(doc, path: str = "$") -> CStarMetric:
     desc, index_set = _parse_header(doc, path)
     n = index_set.n
-    values = [[None] * n for _ in range(n)]
+    stacks = [np.empty((n, n, d, d), dtype=np.complex128) for d in desc.summand_dims]
     for i, j, blocks in _parse_entries(_get(doc, "metric", path), desc, n, f"{path}.metric"):
-        values[i][j] = AlgebraElement(desc, blocks)
-    return CStarMetric(index_set, desc, values)
+        for S, b in zip(stacks, blocks):
+            S[i, j] = b
+    return _metric_of(index_set, desc, stacks)
 
 
 def load_document(text: str):

@@ -1,4 +1,8 @@
-"""Construction shortcuts shared by the test modules."""
+"""Construction shortcuts shared by the test modules, and per-entry
+reference implementations that the array code is compared against."""
+
+import json
+import math
 
 import numpy as np
 
@@ -6,12 +10,15 @@ from cpdkernels import (
     DEFAULT_TOL,
     AlgebraDescriptor,
     AlgebraElement,
+    CStarMetric,
     IndexSet,
     Kernel,
     Verdict,
     Witness,
     adjoint,
+    module_inner,
     op_norm,
+    re_part,
 )
 from cpdkernels.serialize import element_to_json
 
@@ -121,3 +128,216 @@ def eigh_verdict(mats, tol=DEFAULT_TOL) -> Verdict:
     if worst[0] < -tol.tol_rel:
         return Verdict(False, Witness(*worst[1:]))
     return Verdict(True)
+
+
+def equal_distance_metric(x, dims, labels=None) -> CStarMetric:
+    """``d(s_i, s_j) = x[i][j] I`` on every summand."""
+    desc = AlgebraDescriptor(dims)
+    n = len(x)
+    return CStarMetric(IndexSet(labels or [f"p{i}" for i in range(n)]), desc, [
+        [AlgebraElement(desc, [x[i][j] * np.eye(d) for d in dims]) for j in range(n)]
+        for i in range(n)])
+
+
+def overflow_metric(factor: float = 1.0) -> CStarMetric:
+    """A metric over [2] whose triangle (a, e, b) fails, behind slacks that
+    overflow at ``factor = 1`` and are first in the visit order."""
+    far = {("a", "b"): 1e301, ("a", "e"): 1e300, ("b", "e"): 1e300,
+           ("a", "c"): 1e308, ("b", "c"): 1e308, ("c", "e"): 1e308}
+    labels = ["a", "b", "c", "e"]
+    x = [[factor * far.get((s, t), far.get((t, s), 0.0)) for t in labels] for s in labels]
+    return equal_distance_metric(x, [2], labels)
+
+
+def reference_factor_kernel(fact) -> list:
+    """``V(s)* V(t)``, one entry at a time."""
+    labels = fact.index_set.labels
+    return [[module_inner(fact.V[s], fact.V[t]) for t in labels] for s in labels]
+
+
+def reference_reconstruct_cpd(dec) -> list:
+    """``2 V(s)*V(t) - V(s)*V(s) - V(t)*V(t) - h(s) - h(t)*``, one entry at a time."""
+    fact, labels = dec.factorization, dec.factorization.index_set.labels
+    diag = {s: module_inner(fact.V[s], fact.V[s]) for s in labels}
+    return [[2.0 * module_inner(fact.V[s], fact.V[t]) - diag[s] - diag[t]
+             - dec.h[s] - adjoint(dec.h[t]) for t in labels] for s in labels]
+
+
+def reference_sum_sq_diff_reconstruct(families, index_set, descriptor) -> list:
+    """``-sum_k |e_s^k - e_t^k|^2``, one entry and family at a time."""
+    table = []
+    for s in index_set.labels:
+        row = []
+        for t in index_set.labels:
+            acc = AlgebraElement.zero(descriptor)
+            for fam in families:
+                delta = fam[s] - fam[t]
+                acc = acc - adjoint(delta) @ delta
+            row.append(acc)
+        table.append(row)
+    return table
+
+
+def reference_majorized_kernel(fact, P) -> list:
+    """``2 V(s)*P V(t) - V(s)*P V(s) - V(t)*P V(t)``, one entry at a time."""
+    labels = fact.index_set.labels
+
+    def form(s, t):
+        return AlgebraElement(fact.descriptor, [
+            vs.conj().T @ p @ vt for vs, vt, p in zip(fact.V[s].blocks, fact.V[t].blocks, P)])
+
+    return [[2.0 * form(s, t) - form(s, s) - form(t, t) for t in labels] for s in labels]
+
+
+def same_verdict(a, b) -> bool:
+    """Whether two verdicts agree on ``holds`` and the context, and their
+    witnesses on the summand and, bit for bit, the eigenvalue and vector."""
+    if (a.holds, a.context, a.witness is None) != (b.holds, b.context, b.witness is None):
+        return False
+    if a.witness is None:
+        return True
+    u, v = a.witness, b.witness
+    return (u.summand == v.summand
+            and np.float64(u.eigenvalue).tobytes() == np.float64(v.eigenvalue).tobytes()
+            and u.vector.dtype == v.vector.dtype and u.vector.tobytes() == v.vector.tobytes())
+
+
+def _min_eig(a):
+    w, u = np.linalg.eigh(a)
+    return float(w[0]), u[:, 0].copy()
+
+
+def _reference_positive_defect(x, tol):
+    for k, b in enumerate(x.blocks):
+        if np.linalg.norm(b - b.conj().T, 2) > tol.tol_rel * max(1.0, np.linalg.norm(b, 2)):
+            return ("hermitian", k, None, None)
+    worst = None
+    for k, b in enumerate(x.blocks):
+        lam, vec = _min_eig(0.5 * (b + b.conj().T))
+        margin = lam / max(1.0, op_norm(x))
+        if worst is None or margin < worst[0]:
+            worst = (margin, k, lam, vec)
+    if worst[0] < -tol.tol_rel:
+        return ("negative",) + worst[1:]
+    return None
+
+
+def reference_validate_metric(dm, tol=DEFAULT_TOL) -> Verdict:
+    """The metric axioms checked one entry, pair and triple at a time, with
+    one ``eigh`` and one 2-norm per block."""
+    labels, n = dm.index_set.labels, dm.n
+    scale = max(1.0, max(op_norm(v) for row in dm.values for v in row))
+    for i, s in enumerate(labels):
+        for j, t in enumerate(labels):
+            defect = _reference_positive_defect(dm.values[i][j], tol)
+            if defect is not None:
+                kind, k, lam, vec = defect
+                if kind == "hermitian":
+                    return Verdict(False, None, context=f"value at ({s}, {t}) is not self-adjoint")
+                return Verdict(False, Witness(k, lam, vec),
+                               context=f"value at ({s}, {t}) is not positive")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if op_norm(dm.values[i][j] - dm.values[j][i]) > tol.tol_rel * scale:
+                return Verdict(False, None, context=f"symmetry fails at ({labels[i]}, {labels[j]})")
+    for i, s in enumerate(labels):
+        if op_norm(dm.values[i][i]) > tol.tol_rel * scale:
+            return Verdict(False, None, context=f"diagonal is not zero at {s}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if op_norm(dm.values[i][j]) <= tol.tol_rel * scale:
+                return Verdict(False, None, context=(
+                    f"distinct labels ({labels[i]}, {labels[j]}) are at distance zero"))
+    worst = None
+    for i, s in enumerate(labels):
+        for j, t in enumerate(labels):
+            for u_idx, u in enumerate(labels):
+                if i == j or u_idx == i or u_idx == j:
+                    continue
+                slack = dm.values[i][u_idx] + dm.values[u_idx][j] - dm.values[i][j]
+                for k, b in enumerate(slack.blocks):
+                    lam, vec = _min_eig(0.5 * (b + b.conj().T))
+                    margin = lam / max(1.0, op_norm(slack))
+                    if worst is None or margin < worst[0]:
+                        worst = (margin, k, lam, vec, s, u, t)
+    if worst is not None and worst[0] < -tol.tol_rel:
+        _, k, lam, vec, s, u, t = worst
+        return Verdict(False, Witness(k, lam, vec),
+                       context=f"triangle inequality fails for ({s}, {u}, {t})")
+    return Verdict(True)
+
+
+def _reference_pair_positivity(diffs, tol) -> Verdict:
+    worst = None
+    for (s, t), diff in diffs.items():
+        for k, b in enumerate(diff.blocks):
+            skew = float(np.linalg.norm(b - b.conj().T, 2))
+            if skew > tol.tol_rel * max(1.0, float(np.linalg.norm(b, 2))):
+                return Verdict(False, None, context=f"non-hermitian difference at ({s}, {t})")
+            w, u = np.linalg.eigh(0.5 * (b + b.conj().T))
+            margin = w[0] / max(1.0, float(np.max(np.abs(w))))
+            if worst is None or margin < worst[0]:
+                worst = (margin, k, float(w[0]), u[:, 0].copy(), s, t)
+    if worst[0] < -tol.tol_rel:
+        _, k, lam, vec, s, t = worst
+        return Verdict(False, Witness(k, lam, vec), context=f"pair ({s}, {t})")
+    return Verdict(True)
+
+
+def reference_cauchy_schwarz_cpd(K, tol=DEFAULT_TOL) -> Verdict:
+    """``2 Re K(s,t) <= K(s,s) + K(t,t)``, one pair and block at a time."""
+    v, labels = K.values, K.index_set.labels
+    return _reference_pair_positivity({
+        (s, t): v[i][i] + v[j][j] - 2.0 * re_part(v[i][j])
+        for i, s in enumerate(labels) for j, t in enumerate(labels)
+    }, tol)
+
+
+def reference_cauchy_schwarz_pd(L, tol=DEFAULT_TOL) -> Verdict:
+    """``L(s,t) L(t,s) <= ||L(t,t)|| L(s,s)``, one pair and block at a time."""
+    v, labels = L.values, L.index_set.labels
+    return _reference_pair_positivity({
+        (s, t): op_norm(v[j][j]) * v[i][i] - v[i][j] @ v[j][i]
+        for i, s in enumerate(labels) for j, t in enumerate(labels)
+    }, tol)
+
+
+def _reference_render(obj, out, level):
+    pad, closing = "  " * (level + 1), "  " * level
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(float(obj)):
+            raise ValueError("non-finite floats cannot be serialized")
+        out.append(format(float(obj), ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        out.append("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(pad + json.dumps(k) + ": ")
+            _reference_render(v, out, level + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(closing + "}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[\n")
+        for i, v in enumerate(obj):
+            out.append(pad)
+            _reference_render(v, out, level + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(closing + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dump_json(obj) -> str:
+    """``dump_json`` rendered one JSON node at a time."""
+    out = []
+    _reference_render(obj, out, 0)
+    return "".join(out) + "\n"

@@ -3,15 +3,19 @@
 ``perfbench/spans.py`` wraps, by name, every public function of the package,
 ``Kernel.is_hermitian``, ``AlgebraElement.__init__`` and some
 ``numpy.linalg`` routines.  Installing it, deciding one kernel by each CPD
-route and uninstalling it here makes a refactor that drops or renames one of
-those hooks, or stops running a layer whose share the benchmark reports,
-fail the test suite instead of the benchmark run.  The tracer
-file is loaded read-only; nothing under ``perfbench/`` is written.
+route, running the metric commands, and uninstalling it here makes a
+refactor that drops or renames one of those hooks, or stops running a layer
+whose share the benchmark reports, fail the test suite instead of the
+benchmark run.  The tracer file is loaded read-only; nothing under
+``perfbench/`` is written.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import cpdkernels
@@ -81,3 +85,42 @@ def test_every_route_runs_under_the_tracer_and_uninstalls():
             assert metrics[metric["name"]][1] == metric["unit"]
     assert metrics["kernels.validate.calls"][0] == 1.0
     assert 0.0 < metrics["focus.fine.share"][0] <= 1.0
+
+
+def test_metric_commands_run_under_the_tracer(tmp_path):
+    spans = _load_spans()
+    desc = AlgebraDescriptor([2, 1])
+    dm = cpdkernels.random_metric(GenConfig(seed=1, n=5, descriptor=desc))
+    path = tmp_path / "metric.json"
+    path.write_text(cpdkernels.dump_json(cpdkernels.metric_to_json(dm)), encoding="utf-8")
+    commands = (["check-metric", str(path)], ["embed", str(path), "--verify"])
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    codes = []
+    try:
+        for op, argv in enumerate(commands):
+            tracer.kinds[op], tracer.expected[op] = f"metric-{argv[0]}", ()
+            tracer.op_id, tracer.active = op, True
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cpdkernels.cli.main(argv))
+            tracer.latency[op] = time.perf_counter() - start
+            tracer.active = False
+    finally:
+        uninstall()
+    assert codes == [0, 0]
+
+    names = [tracer.names[i] for i in tracer.name]
+    ops = list(tracer.op)
+    validated = [op for name, op in zip(names, ops) if name == "embedding.validate_metric"]
+    assert validated == [0, 1]
+    # One batched eigh per summand for the entries and one for the triangles.
+    check_eighs = sum(1 for name, op in zip(names, ops) if name == "linalg.eigh" and op == 0)
+    assert check_eighs == 2 * desc.num_summands
+
+    metrics = spans.layer_metrics(tracer, {"metric": ("embedding.validate_metric",)})
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for metric in contract["per_layer"]:
+        if metric["name"] != "trace.overhead":
+            assert metrics[metric["name"]][1] == metric["unit"]
+    assert 0.0 < metrics["focus.metric.share"][0] <= 1.0

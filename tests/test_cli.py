@@ -26,6 +26,7 @@ from cpdkernels import (
     scalar_metric,
 )
 from cpdkernels.cli import main
+from helpers import overflow_metric
 
 
 def run(capsys, *argv):
@@ -324,6 +325,21 @@ class TestNonFiniteInput:
             assert proc.stdout == ""
             assert proc.stderr == (
                 f"{argv[0]}: a kernel matrix has an infinite or NaN value (overflow?)\n")
+
+    def test_overflowing_metric_is_an_input_error_not_a_pass(self, capsys, tmp_path):
+        # The overflowing slacks come first; they used to hide the failing
+        # triangle (a, e, b) behind a NaN margin and pass.
+        path = write_metric(tmp_path, overflow_metric())
+        for argv in (["check-metric"], ["embed", "--verify"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert (code, out) == (2, "")
+            assert err == f"{argv[0]}: a matrix has an infinite or NaN value (overflow?)\n"
+            assert [str(w.message) for w in caught] == []
+        code, out, _ = run(capsys, "check-metric", write_metric(tmp_path, overflow_metric(1e-290)))
+        assert code == 1
+        assert json.loads(out)["witness"]["context"] == "triangle inequality fails for (a, e, b)"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
     def test_non_finite_numbers_are_rejected_with_their_path(self, capsys, tmp_path, bad):

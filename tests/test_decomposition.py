@@ -38,7 +38,15 @@ from cpdkernels import (
     sum_sq_diff_decomposition,
     sum_sq_diff_reconstruct,
 )
-from helpers import single_block
+from helpers import (
+    KERNEL_DESCRIPTORS,
+    reference_factor_kernel,
+    reference_majorized_kernel,
+    reference_reconstruct_cpd,
+    reference_sum_sq_diff_reconstruct,
+    same_bits,
+    single_block,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 descriptors = st.sampled_from(
@@ -226,6 +234,29 @@ class TestSumSqDiffDecomposition:
         with pytest.raises(PreconditionFailure) as exc:
             sum_sq_diff_decomposition(K)
         assert exc.value.verdict is not None
+
+
+class TestStackedReconstructions:
+    """The kernels rebuilt from factors, on stacked blocks, against the
+    per-entry element arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("dims", KERNEL_DESCRIPTORS)
+    def test_every_rebuilt_kernel_matches_the_entry_loop(self, dims):
+        desc = AlgebraDescriptor(dims)
+        for seed in range(3):
+            cfg = GenConfig(seed=seed, n=2 + seed, descriptor=desc)
+            K = random_cpd_kernel(cfg)
+            dec = decompose_cpd(K, K.index_set.labels[-1])
+            fact = dec.factorization
+            assert same_bits(factor_kernel(fact), reference_factor_kernel(fact))
+            assert same_bits(reconstruct_cpd(dec), reference_reconstruct_cpd(dec))
+            P = [np.full((r, r), 0.25 + 0.5j) for r in fact.ranks]
+            assert same_bits(majorized_kernel(fact, P), reference_majorized_kernel(fact, P))
+            D = random_cpd_kernel(cfg, diagonal_zero=True)
+            families = sum_sq_diff_decomposition(D)
+            assert same_bits(
+                sum_sq_diff_reconstruct(families, D.index_set, desc),
+                reference_sum_sq_diff_reconstruct(families, D.index_set, desc))
 
 
 class TestKernelLeq:

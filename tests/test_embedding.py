@@ -2,6 +2,8 @@
 through the squared-distance kernel, explicit isometric embeddings, and
 distance tables built from module points."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 
 from cpdkernels import (
     AlgebraDescriptor,
+    AlgebraElement,
     CStarMetric,
     GenConfig,
     IndexSet,
     InvalidMetric,
     ModuleElement,
+    NonFinite,
     PreconditionFailure,
     compressed_gram,
     distance_matrix_from_points,
@@ -31,7 +35,13 @@ from cpdkernels import (
     shift_transform,
     validate_metric,
 )
-from helpers import single_block
+from helpers import (
+    equal_distance_metric,
+    overflow_metric,
+    reference_validate_metric,
+    same_verdict,
+    single_block,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 metric_descriptors = st.sampled_from(
@@ -106,6 +116,113 @@ class TestValidateMetric:
         verdict = validate_metric(dm)
         assert not verdict.holds
         assert "triangle" in verdict.context
+
+
+def _edited(dm, edit):
+    """``dm`` with ``edit`` applied to a nested list of copies of its blocks,
+    indexed ``[i][j][summand]``."""
+    table = [[[np.array(b) for b in v.blocks] for v in row] for row in dm.values]
+    edit(table)
+    return CStarMetric(dm.index_set, dm.descriptor, [
+        [AlgebraElement(dm.descriptor, v) for v in row] for row in table])
+
+
+def _scaled(*cells, by):
+    def edit(table):
+        for i, j in cells:
+            table[i][j] = [by * b for b in table[i][j]]
+    return edit
+
+
+def _skewed(table):
+    b = table[1][3][0]
+    table[1][3][0] = b + 0.5 * np.triu(np.ones_like(b), 1) + (0.5j if b.shape == (1, 1) else 0)
+
+
+def _diagonal(table):
+    table[2][2][0] = 0.1 * np.eye(table[2][2][0].shape[0])
+
+
+def _negated_last_summand(table):
+    table[2][1][-1] = -table[2][1][-1]
+
+
+# Each edit breaks one axiom of a generated 5-label metric.
+BREAKS = {
+    "not self-adjoint": _skewed,
+    "not positive": _negated_last_summand,
+    "symmetry": _scaled((3, 0), by=1.5),
+    "diagonal": _diagonal,
+    "distance zero": _scaled((1, 4), (4, 1), by=0.0),
+    "triangle": _scaled((0, 2), (2, 0), by=5.0),
+}
+
+
+class TestStackedAxioms:
+    """``validate_metric`` on stacked blocks against the per-triple loop."""
+
+    @pytest.mark.parametrize("dims", [[1], [2, 1], [3]])
+    @pytest.mark.parametrize("seed", [3, 4, 11])
+    def test_each_broken_axiom_matches_the_loop(self, dims, seed):
+        dm = random_metric(GenConfig(seed=seed, n=5, descriptor=AlgebraDescriptor(dims)))
+        assert same_verdict(validate_metric(dm), reference_validate_metric(dm))
+        for needle, edit in BREAKS.items():
+            broken = _edited(dm, edit)
+            verdict = validate_metric(broken)
+            assert not verdict.holds and needle in verdict.context
+            assert same_verdict(verdict, reference_validate_metric(broken))
+
+    @pytest.mark.parametrize("first, second", [(_skewed, _negated_last_summand),
+                                               (_scaled((0, 1), by=-1.0), _skewed)])
+    def test_the_first_bad_entry_wins_in_row_major_order(self, first, second):
+        dm = random_metric(GenConfig(seed=5, n=5, descriptor=AlgebraDescriptor([2, 1])))
+        broken = _edited(_edited(dm, first), second)
+        assert same_verdict(validate_metric(broken), reference_validate_metric(broken))
+
+    def test_an_entry_is_scaled_by_its_own_norm(self):
+        # Summand 1 alone fails by -5e-7; against the entry's C*-norm 1e6 it
+        # passes, and the entry is positive.
+        def shade(table):
+            for i, j in ((0, 1), (1, 0)):
+                table[i][j] = [np.diag([1e6, 0.0]), np.array([[-5e-7]])]
+
+        dm = _edited(equal_distance_metric([[0, 1], [1, 0]], [2, 1]), shade)
+        verdict = validate_metric(dm)
+        assert verdict.holds
+        assert same_verdict(verdict, reference_validate_metric(dm))
+
+    @pytest.mark.parametrize("dims", [[1], [2, 1]])
+    def test_equal_worst_triangles_report_the_first(self, dims):
+        # (a, b, c) and (c, b, a) have the same slack, on every summand.
+        dm = equal_distance_metric([[0, 1, 3, 1.5], [1, 0, 1, 1.2], [3, 1, 0, 1.1],
+                                     [1.5, 1.2, 1.1, 0]], dims)
+        verdict = validate_metric(dm)
+        assert verdict.context == "triangle inequality fails for (p0, p1, p2)"
+        assert verdict.witness.summand == 0
+        assert same_verdict(verdict, reference_validate_metric(dm))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_without_triangles(self, n):
+        dm = scalar_metric(np.ones((n, n)) - np.eye(n))
+        assert validate_metric(dm).holds and reference_validate_metric(dm).holds
+
+
+class TestMetricsFailClosed:
+    def test_overflow_raises_instead_of_passing(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFinite):
+                validate_metric(overflow_metric())
+        assert [str(w.message) for w in caught] == []
+
+    def test_the_rescaled_table_fails_at_the_hidden_triangle(self):
+        verdict = validate_metric(overflow_metric(1e-290))
+        assert verdict.context == "triangle inequality fails for (a, e, b)"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        with pytest.raises(NonFinite):
+            validate_metric(scalar_metric([[0.0, bad], [bad, 0.0]]))
 
 
 class TestMetricToKernel:

@@ -51,6 +51,8 @@ from helpers import (
     block_kernel,
     difference_basis,
     eigh_verdict,
+    reference_cauchy_schwarz_cpd,
+    reference_cauchy_schwarz_pd,
     reference_entrywise,
     reference_is_hermitian,
     reference_kernel_json,
@@ -58,6 +60,7 @@ from helpers import (
     reference_shift,
     reference_table,
     same_bits,
+    same_verdict,
     single_block,
 )
 
@@ -407,6 +410,33 @@ class TestCauchySchwarzChecks:
         K = Kernel.zero(IndexSet(["a", "b"]), AlgebraDescriptor([2]))
         assert cauchy_schwarz_cpd_check(K).holds
         assert cauchy_schwarz_pd_check(K).holds
+
+    @pytest.mark.parametrize("dims", KERNEL_DESCRIPTORS)
+    def test_stacked_checks_match_the_per_pair_loop(self, dims):
+        desc = AlgebraDescriptor(dims)
+        contexts = set()
+        for seed in range(8):
+            K = mixed_kernel(seed, 2 + seed % 4, desc)
+            H = random_hermitian_kernel(GenConfig(seed=seed, n=K.n, descriptor=desc))
+            raw = schur_product(K, H)  # not hermitian over noncommutative summands
+            for T in (K, H, raw, shift_transform(K, K.index_set.labels[0])):
+                for check, reference in ((cauchy_schwarz_cpd_check, reference_cauchy_schwarz_cpd),
+                                         (cauchy_schwarz_pd_check, reference_cauchy_schwarz_pd)):
+                    verdict = check(T)
+                    assert same_verdict(verdict, reference(T))
+                    contexts.add((verdict.context or "holds").split(" (")[0])
+        assert {"holds", "pair"} <= contexts
+        assert ("non-hermitian difference at" in contexts) == (max(dims) > 1)
+
+    @pytest.mark.parametrize("check", [cauchy_schwarz_cpd_check, cauchy_schwarz_pd_check])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.7e308])
+    def test_non_finite_or_overflowing_tables_raise(self, check, bad):
+        K = scalar_kernel([[1e308, bad], [bad, 1e308]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFinite):
+                check(K)
+        assert [str(w.message) for w in caught] == []
 
     def test_generated_pd_kernels_pass_the_norm_bound(self):
         K = random_gram_kernel(GenConfig(seed=37, n=4, descriptor=AlgebraDescriptor([3])))

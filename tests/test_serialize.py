@@ -1,6 +1,8 @@
 """JSON schema round-trips: deterministic rendering, lossless doubles, and
 path-labeled schema diagnostics."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -29,7 +31,9 @@ from cpdkernels import (
     metric_to_json,
     random_cpd_kernel,
     random_gram_kernel,
+    random_majorized_pair,
     random_metric,
+    random_non_cpd_kernel,
     recover_contraction,
     scalar_kernel,
     sum_sq_diff_decomposition,
@@ -42,6 +46,9 @@ from cpdkernels.serialize import (
     families_to_json,
     verdict_to_json,
 )
+
+from cpdkernels import cli
+from helpers import reference_dump_json
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -81,6 +88,65 @@ class TestDumpJson:
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     def test_every_double_roundtrips(self, x):
         assert json.loads(dump_json([x]))[0] == x
+
+
+class TestLeafListRenderer:
+    """Lists of floats are rendered in one join; the bytes are those of the
+    renderer that recurses into every node."""
+
+    @pytest.mark.parametrize("obj", [
+        [], [True, 1.0], [1, 2.0], [np.float64(0.1), 0.2], (0.5, -0.0, 1e-300),
+        {"x": [[1.0, -2.5e17], [3.0, 4.0]], "y": [np.float64(3.0)]},
+    ])
+    def test_edge_leaves(self, obj):
+        assert dump_json(obj) == reference_dump_json(obj)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_leaves_are_rejected(self, bad):
+        for obj in ([1.0, bad], [np.float64(bad)]):
+            with pytest.raises(ValueError, match="non-finite"):
+                dump_json(obj)
+
+    def test_every_command_report(self, tmp_path, monkeypatch):
+        rendered = []
+
+        def spy(obj, *args):
+            text = dump_json(obj, *args)
+            rendered.append((text, reference_dump_json(obj)))
+            return text
+
+        monkeypatch.setattr(cli, "dump_json", spy)
+        desc = AlgebraDescriptor([2, 1])
+        docs = {
+            "cpd": random_cpd_kernel(GenConfig(seed=5, n=4, descriptor=desc)),
+            "diag": random_cpd_kernel(GenConfig(seed=6, n=4, descriptor=desc), diagonal_zero=True),
+            "non-cpd": random_non_cpd_kernel(GenConfig(seed=7, n=4, descriptor=desc)),
+            "metric": random_metric(GenConfig(seed=8, n=4, descriptor=desc)),
+            "star": fixture("star-metric"),
+        }
+        big, small, s0 = random_majorized_pair(GenConfig(seed=9, n=4, descriptor=desc))
+        docs.update(big=big, small=small)
+        p = {}
+        for name, obj in docs.items():
+            to_json = metric_to_json if name in ("metric", "star") else kernel_to_json
+            p[name] = tmp_path / f"{name}.json"
+            p[name].write_text(dump_json(to_json(obj)), encoding="utf-8")
+        commands = [
+            ["check-pd", p["cpd"]], ["transform", p["cpd"]],
+            *(["check-cpd", p["non-cpd"], "--method", m] for m in ("compression", "shift", "corm")),
+            ["decompose", p["cpd"], "--verify"], ["ssd-decompose", p["diag"], "--verify"],
+            ["embed", p["metric"], "--verify"], ["embed", p["star"]],
+            ["check-metric", p["metric"]], ["majorize", p["big"], p["small"], "--base-point", s0],
+            ["demo", "schur-counterexample"], ["gen", "metric", "--n", "4", "--dims", "2,1"],
+        ]
+        for argv in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(["--no-timings", *map(str, argv)])
+            assert rendered and rendered[-1][0] == out.getvalue()
+        assert len(rendered) == len(commands)
+        for text, reference in rendered:
+            assert text == reference
 
 
 class TestKernelRoundtrip:
