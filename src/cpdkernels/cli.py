@@ -14,9 +14,11 @@ is passed; wall-clock phase timings are the only nondeterministic field.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .algebra import AlgebraDescriptor, DimensionMismatch, ToleranceConfig, spectral_norms
@@ -72,7 +74,15 @@ from .serialize import (
 
 __all__ = ["Report", "build_parser", "main"]
 
-GEN_CLASSES = ("gram", "cpd", "cpd-diag", "hermitian", "non-cpd", "metric")
+GENERATORS = {
+    "gram": random_gram_kernel,
+    "cpd": random_cpd_kernel,
+    "cpd-diag": partial(random_cpd_kernel, diagonal_zero=True),
+    "hermitian": random_hermitian_kernel,
+    "non-cpd": random_non_cpd_kernel,
+    "metric": random_metric,
+}
+GEN_CLASSES = tuple(GENERATORS)
 
 
 @dataclass
@@ -296,10 +306,8 @@ def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
         clock.lap("parse")
         L = shift_transform(K, s0, tol)
         clock.lap("compute")
-        report = Report(cmd, "n/a", None,
-                        {"base_point": s0, "kernel": kernel_to_json(L)},
-                        clock.phases, tol)
-        return 0, report
+        return 0, Report(cmd, "n/a", None, {"base_point": s0, "kernel": kernel_to_json(L)},
+                         clock.phases, tol)
 
     if cmd == "decompose":
         K = _load_kernel(args.input)
@@ -344,11 +352,7 @@ def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
         s0 = _base_point(K.index_set.labels, args.base_point)
         clock.lap("parse")
         cert = recover_contraction(K, Kp, s0, tol)
-        clock.lap("compute")
-        report = Report(cmd, True, None,
-                        {"base_point": s0, "certificate": certificate_to_json(cert)},
-                        clock.phases, tol)
-        return 0, report
+        return _built(cmd, {"base_point": s0, "certificate": certificate_to_json(cert)}, clock, tol)
 
     raise AssertionError(f"unhandled command {cmd!r}")
 
@@ -362,31 +366,13 @@ def _cmd_gen(args) -> tuple[int, Report | None]:
     name = args.klass
     if name in FIXTURE_NAMES:
         obj = fixture(name)
+    elif name in GENERATORS:
+        obj = GENERATORS[name](GenConfig(
+            seed=args.seed, n=args.n, descriptor=AlgebraDescriptor(args.dims),
+            rank=args.rank, magnitude=args.magnitude))
     else:
-        cfg = GenConfig(
-            seed=args.seed,
-            n=args.n,
-            descriptor=AlgebraDescriptor(args.dims),
-            rank=args.rank,
-            magnitude=args.magnitude,
-        )
-        if name == "gram":
-            obj = random_gram_kernel(cfg)
-        elif name == "cpd":
-            obj = random_cpd_kernel(cfg)
-        elif name == "cpd-diag":
-            obj = random_cpd_kernel(cfg, diagonal_zero=True)
-        elif name == "hermitian":
-            obj = random_hermitian_kernel(cfg)
-        elif name == "non-cpd":
-            obj = random_non_cpd_kernel(cfg)
-        elif name == "metric":
-            obj = random_metric(cfg)
-        else:
-            raise ValueError(
-                f"unknown class {name!r}; available: "
-                f"{', '.join(GEN_CLASSES + FIXTURE_NAMES)}"
-            )
+        raise ValueError(
+            f"unknown class {name!r}; available: {', '.join(GEN_CLASSES + FIXTURE_NAMES)}")
     doc = metric_to_json(obj) if isinstance(obj, CStarMetric) else kernel_to_json(obj)
     text = dump_json(doc)
     if args.out is not None:
@@ -399,8 +385,8 @@ def _cmd_gen(args) -> tuple[int, Report | None]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol_rel <= 0 or args.rank_tol_rel <= 0:
-        print("tolerances must be positive", file=sys.stderr)
+    if not all(t > 0 and math.isfinite(t) for t in (args.tol_rel, args.rank_tol_rel)):
+        print("tolerances must be positive and finite", file=sys.stderr)
         return 2
     tol = ToleranceConfig(tol_rel=args.tol_rel, rank_tol_rel=args.rank_tol_rel)
     try:

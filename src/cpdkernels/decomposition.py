@@ -28,10 +28,8 @@ from .algebra import (
     ModuleElement,
     ToleranceConfig,
     _spec_norm,
-    adjoint,
-    im_part,
     module_norm,
-    op_norm,
+    spectral_norms,
 )
 from .kernels import (
     IndexSet,
@@ -117,6 +115,16 @@ class MajorizationCertificate:
     norm_W: float
 
 
+def _top_eigenpairs(G: np.ndarray, tol: ToleranceConfig):
+    """Eigenpairs of the hermitian part of ``G``, eigenvalues descending and
+    cut at ``rank_tol_rel * max(1, lambda_max)``."""
+    w, u = np.linalg.eigh(0.5 * (G + G.conj().T))
+    order = np.argsort(w)[::-1]
+    w, u = w[order], u[:, order]
+    keep = w > tol.rank_tol_rel * max(1.0, float(w[0]) if w.size else 0.0)
+    return w[keep], u[:, keep]
+
+
 def factor_pd(
     L: Kernel, tol: ToleranceConfig = DEFAULT_TOL, *, check: bool = True
 ) -> Factorization:
@@ -137,19 +145,11 @@ def factor_pd(
         verdict = is_positive_definite(L, tol)
         if not verdict.holds:
             raise PreconditionFailure("kernel is not positive definite", verdict)
-    dims = L.descriptor.summand_dims
-    ranks = []
-    factors = []
+    dims, ranks, factors = L.descriptor.summand_dims, [], []
     grams = assemble_gram(L, tol)
-    for G in grams:
-        w, u = np.linalg.eigh(0.5 * (G + G.conj().T))
-        order = np.argsort(w)[::-1]
-        w, u = w[order], u[:, order]
-        lam_max = float(w[0]) if w.size else 0.0
-        keep = w > tol.rank_tol_rel * max(1.0, lam_max)
-        r = int(np.count_nonzero(keep))
-        ranks.append(r)
-        factors.append((np.sqrt(w[keep])[:, None] * u[:, keep].conj().T))
+    for w, u in (_top_eigenpairs(G, tol) for G in grams):
+        ranks.append(w.size)
+        factors.append(np.sqrt(w)[:, None] * u.conj().T)
     # A label whose Gram diagonal block is exactly zero factors through the
     # origin; snap it there so eigensolver noise cannot displace it.
     for F, d, G in zip(factors, dims, grams):
@@ -200,11 +200,11 @@ def decompose_cpd(
     # rechecking against a differently anchored matrix could only disagree on
     # inputs sitting exactly on the tolerance boundary.
     fact = factor_pd(L, tol, check=False)
-    i0 = K.index_set.index(s0)
-    h = {
-        s: (-0.5) * K.values[i][i] - 1j * im_part(K.values[i][i0])
-        for i, s in enumerate(K.index_set.labels)
-    }
+    i0, n = K.index_set.index(s0), K.n
+    H = [(-0.5) * S[range(n), range(n)] - 1j * ((S[:, i0] - S[:, i0].conj().swapaxes(1, 2)) / 2j)
+         for S in (_stack(G, n) for G in K._grams)]  # im_part's arithmetic: the same bits
+    h = {s: AlgebraElement(K.descriptor, [X[i] for X in H])
+         for i, s in enumerate(K.index_set.labels)}
     return CPDDecomposition(fact, h, s0)
 
 
@@ -241,20 +241,13 @@ def sum_sq_diff_decomposition(
         If an entry is not self-adjoint, a diagonal entry is nonzero, or the
         conditional positivity test fails.
     """
-    scale = max(1.0, kernel_norm(K))
-    n = K.n
-    for i in range(n):
-        if op_norm(K.values[i][i]) > tol.tol_rel * scale:
-            raise PreconditionFailure(
-                f"diagonal entry at {K.index_set.labels[i]!r} is not zero"
-            )
-        for j in range(n):
-            entry = K.values[i][j]
-            if op_norm(entry - adjoint(entry)) > tol.tol_rel * scale:
-                raise PreconditionFailure(
-                    "kernel entries must be self-adjoint "
-                    f"(offender at ({K.index_set.labels[i]!r}, {K.index_set.labels[j]!r}))"
-                )
+    n, labels = K.n, K.index_set.labels
+    found = _shape_offender(K, slice(None), tol)
+    if found is not None:
+        i, j = found
+        raise PreconditionFailure(
+            f"diagonal entry at {labels[i]!r} is not zero" if j < 0 else
+            f"kernel entries must be self-adjoint (offender at ({labels[i]!r}, {labels[j]!r}))")
     verdict = is_conditionally_positive_definite(K, tol)
     if not verdict.holds:
         raise PreconditionFailure("kernel is not conditionally positive definite", verdict)
@@ -263,22 +256,14 @@ def sum_sq_diff_decomposition(
     desc = K.descriptor
     families: list[dict[str, AlgebraElement]] = []
     for k, (d, B) in enumerate(zip(desc.summand_dims, _require_hermitian(shifted, n, tol))):
-        w, u = np.linalg.eigh(0.5 * (B + B.conj().T))
-        order = np.argsort(w)[::-1]
-        w, u = w[order], u[:, order]
-        lam_max = float(w[0]) if w.size else 0.0
+        w, u = _top_eigenpairs(B, tol)
+        zeros = [np.zeros((dk, dk)) for dk in desc.summand_dims]
         for alpha in range(w.size):
-            if w[alpha] <= tol.rank_tol_rel * max(1.0, lam_max):
-                break
-            v = np.sqrt(w[alpha]) * u[:, alpha]
-            family = {}
-            for i, s in enumerate(K.index_set.labels):
-                blocks = [np.zeros((dk, dk)) for dk in desc.summand_dims]
-                lift = np.zeros((d, d), dtype=np.complex128)
-                lift[0, :] = v[i * d : (i + 1) * d].conj()
-                blocks[k] = lift / np.sqrt(2.0)
-                family[s] = AlgebraElement(desc, blocks)
-            families.append(family)
+            lifts = np.zeros((n, d, d), dtype=np.complex128)
+            lifts[:, 0] = (np.sqrt(w[alpha]) * u[:, alpha]).reshape(n, d).conj()
+            lifts /= np.sqrt(2.0)
+            families.append({s: AlgebraElement(desc, zeros[:k] + [lifts[i]] + zeros[k + 1 :])
+                             for i, s in enumerate(K.index_set.labels)})
     return families
 
 
@@ -328,17 +313,32 @@ def majorized_kernel(fact: Factorization, operator_blocks) -> Kernel:
     return _kernel_of(fact.index_set, fact.descriptor, grams)
 
 
+def _shape_offender(K: Kernel, cols, tol: ToleranceConfig):
+    """The first row ``i`` where ``K(s_i, s_i) = 0`` fails, ``(i, -1)``, or
+    else ``K(s_i, s_j)`` self-adjoint for the ``j``-th column of ``cols``,
+    ``(i, j)``; ``None`` if none.  Each holds up to ``tol_rel * max(1,
+    kernel_norm(K))`` in the 2-norm over summands, by one batched call each."""
+    n, scale, norms = K.n, 1.0, []
+    for S in (_stack(G, n) for G in K._grams):
+        C, d = S[:, cols], S.shape[-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
+            D = C - C.conj().swapaxes(-1, -2)
+        N = spectral_norms(np.concatenate([S.reshape(-1, d, d), D.reshape(-1, d, d)]))
+        scale = max(scale, float(N[: n * n].max()))
+        norms.append(np.column_stack([N[: n * n].reshape(n, n).diagonal(),
+                                      N[n * n :].reshape(n, -1)]))
+    bad = np.max(norms, axis=0) > tol.tol_rel * scale
+    if not bad.any():
+        return None
+    i, c = divmod(int(np.argmax(bad)), bad.shape[1])
+    return i, c - 1
+
+
 def _check_pro1_shape(K: Kernel, s0: str, tol: ToleranceConfig, name: str) -> None:
-    scale = max(1.0, kernel_norm(K))
-    i0 = K.index_set.index(s0)
-    for i in range(K.n):
-        if op_norm(K.values[i][i]) > tol.tol_rel * scale:
-            raise PreconditionFailure(f"{name} must vanish on the diagonal")
-        col = K.values[i][i0]
-        if op_norm(col - adjoint(col)) > tol.tol_rel * scale:
-            raise PreconditionFailure(
-                f"{name}(s, {s0!r}) must be self-adjoint for every s"
-            )
+    found = _shape_offender(K, [K.index_set.index(s0)], tol)
+    if found is not None:
+        raise PreconditionFailure(f"{name} must vanish on the diagonal" if found[1] < 0 else
+                                  f"{name}(s, {s0!r}) must be self-adjoint for every s")
 
 
 def recover_contraction(

@@ -8,14 +8,20 @@ a block is a row-major 2-D array of ``[re, im]`` pairs.
 
 Floats are emitted with 17 significant digits so that a dump/load cycle is
 the identity on IEEE doubles, and key order is fixed, so equal objects
-serialize to identical bytes.  Loaders raise ``SchemaError`` carrying the
-path into the offending document node.
+serialize to identical bytes.  Both directions work on whole blocks: a
+rectangular nest of floats (a block, or a whole table when the summands
+have one size) is rendered by one ``%`` format of a layout built for its
+shape, and each summand of a table is read as one array.  Anything else
+takes the per-node path: the renderer recurses, and the reader walks the
+table pair by pair, raising ``SchemaError`` with the path into the
+offending document node.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .algebra import (
 )
 from .decomposition import CPDDecomposition, Factorization, MajorizationCertificate
 from .embedding import CStarMetric, EmbeddingResult, _metric_of
-from .kernels import IndexSet, Kernel, Verdict, Witness, _kernel_from_entries, _stack
+from .kernels import IndexSet, Kernel, Verdict, Witness, _assembled, _kernel_of, _stack
 
 __all__ = [
     "SchemaError",
@@ -57,6 +63,38 @@ class SchemaError(ValueError):
         self.path = path
 
 
+def _children(nodes: list, *shape: int):
+    """The items ``len(shape)`` levels below ``nodes``, in reading order,
+    when every node is a nest of lists of ``shape``; else ``None``."""
+    for m in shape:
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {m}:
+            return None
+        nodes = list(chain.from_iterable(nodes))
+    return nodes
+
+
+def _float_nest(obj):
+    """The shape and leaves of ``obj`` when it is a nonempty rectangular nest
+    of lists whose leaves are all floats, else ``None``."""
+    shape, x = [], obj
+    while type(x) is list and x:
+        shape.append(len(x))
+        x = x[0]
+    leaves = _children([obj], *shape)
+    if type(x) is not float or leaves is None or set(map(type, leaves)) != {float}:
+        return None
+    return shape, leaves
+
+
+def _layout(shape, indent: int, level: int) -> str:
+    """The ``%`` format string of a float nest of ``shape`` at ``level``."""
+    if not shape:
+        return "%.17g"  # equals format(x, ".17g") for every finite double
+    pad = " " * (indent * (level + 1))
+    item = _layout(shape[1:], indent, level + 1)
+    return "[\n" + pad + (",\n" + pad).join([item] * shape[0]) + "\n" + " " * (indent * level) + "]"
+
+
 def _render(obj, out: list, indent: int, level: int) -> None:
     pad = " " * (indent * (level + 1))
     closing = " " * (indent * level)
@@ -65,11 +103,12 @@ def _render(obj, out: list, indent: int, level: int) -> None:
         if not obj:
             out.append("[]")
             return
-        if all(type(v) is float for v in obj):  # a leaf list, in one join
-            if not all(map(math.isfinite, obj)):
+        nest = _float_nest(obj)
+        if nest is not None:  # a whole block or table, in one format
+            shape, leaves = nest
+            if not all(map(math.isfinite, leaves)):
                 raise ValueError("non-finite floats cannot be serialized")
-            items = (",\n" + pad).join([format(v, ".17g") for v in obj])
-            out.append("[\n" + pad + items + "\n" + closing + "]")
+            out.append(_layout(shape, indent, level) % tuple(leaves))
             return
         out.append("[\n")
         for i, v in enumerate(obj):
@@ -114,12 +153,18 @@ def dump_json(obj, indent: int = 2) -> str:
     return "".join(out)
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _block_to_json(b: np.ndarray) -> list:
     return np.stack([b.real, b.imag], axis=-1).tolist()
+
+
+def _elements_to_json(elements: list) -> list:
+    """``element_to_json`` of each of ``elements`` (module elements too), by
+    one ``tolist`` per summand of their stacked blocks."""
+    if not elements:
+        return []
+    pairs = [_block_to_json(np.array([x.blocks[k] for x in elements]))
+             for k in range(len(elements[0].blocks))]
+    return [list(blocks) for blocks in zip(*pairs)]
 
 
 def element_to_json(x: AlgebraElement) -> list:
@@ -127,10 +172,7 @@ def element_to_json(x: AlgebraElement) -> list:
 
 
 def module_element_to_json(x: ModuleElement) -> dict:
-    return {
-        "ranks": list(x.ranks),
-        "blocks": [_block_to_json(b) for b in x.blocks],
-    }
+    return {"ranks": list(x.ranks), "blocks": [_block_to_json(b) for b in x.blocks]}
 
 
 def _table_to_json(index_set: IndexSet, desc: AlgebraDescriptor, key: str, stacks) -> dict:
@@ -157,7 +199,7 @@ def verdict_to_json(v: Verdict) -> dict:
         witness = {
             "summand": v.witness.summand,
             "eigenvalue": float(v.witness.eigenvalue),
-            "vector": [_pair(z) for z in np.asarray(v.witness.vector).ravel()],
+            "vector": _block_to_json(np.asarray(v.witness.vector).ravel()),
         }
     return {"holds": v.holds, "witness": witness, "context": v.context}
 
@@ -171,10 +213,7 @@ def factorization_to_json(fact: Factorization) -> dict:
         "algebra": {"summands": list(fact.descriptor.summand_dims)},
         "set": list(fact.index_set.labels),
         "ranks": list(fact.ranks),
-        "points": [
-            [_block_to_json(b) for b in fact.V[s].blocks]
-            for s in fact.index_set.labels
-        ],
+        "points": _elements_to_json([fact.V[s] for s in fact.index_set.labels]),
     }
 
 
@@ -182,9 +221,7 @@ def decomposition_to_json(dec: CPDDecomposition) -> dict:
     fact = dec.factorization
     return {
         "factorization": factorization_to_json(fact),
-        "affine": [
-            element_to_json(dec.h[s]) for s in fact.index_set.labels
-        ],
+        "affine": _elements_to_json([dec.h[s] for s in fact.index_set.labels]),
         "base_point": dec.base_point,
     }
 
@@ -208,9 +245,9 @@ def certificate_to_json(cert: MajorizationCertificate) -> dict:
 def families_to_json(families, index_set: IndexSet) -> list:
     """Families from the sum-of-squared-differences split, each rendered as
     one element per label in set order."""
-    return [
-        [element_to_json(fam[s]) for s in index_set.labels] for fam in families
-    ]
+    n = index_set.n
+    flat = _elements_to_json([fam[s] for fam in families for s in index_set.labels])
+    return [flat[f * n : (f + 1) * n] for f in range(len(families))]
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -226,13 +263,7 @@ def _get(doc: dict, key: str, path: str):
 
 
 def _parse_number(x, path: str) -> float:
-    if type(x) is float and math.isfinite(x):  # the common case, decided first
-        return x
-    _expect(
-        isinstance(x, (int, float)) and not isinstance(x, bool),
-        path,
-        "expected a number",
-    )
+    _expect(isinstance(x, (int, float)) and not isinstance(x, bool), path, "expected a number")
     try:
         value = float(x)
     except OverflowError:  # an integer beyond the float range
@@ -241,91 +272,88 @@ def _parse_number(x, path: str) -> float:
     return value
 
 
-def _parse_block(node, d: int, path: str) -> np.ndarray:
-    _expect(isinstance(node, list) and len(node) == d, path, f"expected {d} rows")
-    entries = []
-    for i, row in enumerate(node):
-        if not (isinstance(row, list) and len(row) == d):
-            raise SchemaError(f"{path}[{i}]", f"expected {d} entries")
-        for j, pair in enumerate(row):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"{path}[{i}][{j}]", "expected an [re, im] pair")
-            re, im = pair
-            # Paths are formatted only for numbers off the finite-float fast path.
-            if not (type(re) is float and type(im) is float
-                    and math.isfinite(re) and math.isfinite(im)):
-                re = _parse_number(re, f"{path}[{i}][{j}][0]")
-                im = _parse_number(im, f"{path}[{i}][{j}][1]")
-            entries.append(complex(re, im))
-    return np.array(entries, dtype=np.complex128).reshape(d, d)
-
-
 def _parse_header(doc, path: str) -> tuple[AlgebraDescriptor, IndexSet]:
-    algebra = _get(doc, "algebra", path)
-    summands = _get(algebra, "summands", f"{path}.algebra")
-    _expect(
-        isinstance(summands, list) and summands,
-        f"{path}.algebra.summands",
-        "expected a nonempty list of sizes",
-    )
+    summands = _get(_get(doc, "algebra", path), "summands", f"{path}.algebra")
+    _expect(isinstance(summands, list) and summands, f"{path}.algebra.summands",
+            "expected a nonempty list of sizes")
     for k, d in enumerate(summands):
-        _expect(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 1,
-            f"{path}.algebra.summands[{k}]",
-            "expected an integer >= 1",
-        )
+        _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 1,
+                f"{path}.algebra.summands[{k}]", "expected an integer >= 1")
     labels = _get(doc, "set", path)
-    _expect(
-        isinstance(labels, list) and labels,
-        f"{path}.set",
-        "expected a nonempty list of labels",
-    )
+    _expect(isinstance(labels, list) and labels, f"{path}.set",
+            "expected a nonempty list of labels")
     for i, s in enumerate(labels):
         _expect(isinstance(s, str), f"{path}.set[{i}]", "expected a string label")
-    _expect(
-        len(set(labels)) == len(labels), f"{path}.set", "labels must be distinct"
-    )
+    _expect(len(set(labels)) == len(labels), f"{path}.set", "labels must be distinct")
     return AlgebraDescriptor(summands), IndexSet(labels)
 
 
-def _parse_entries(node, desc: AlgebraDescriptor, n: int, path: str):
-    """Yields ``(i, j, blocks)`` for the entries of an ``n x n`` table in
-    reading order, each entry's blocks parsed."""
+def _float_stacks(node, desc: AlgebraDescriptor, n: int):
+    """The ``(n, n, d, d)`` stack of each summand of a well-formed ``n x n``
+    table whose numbers are all finite, by one array conversion per summand
+    (the bits of ``complex(re, im)``); else ``None``.  Integers are read by
+    ``float``, as the pair walk reads them: ``dump_json`` writes ``0.0`` as
+    ``0``."""
+    m = desc.num_summands
+    blocks = _children([node], n, n, m)
+    if blocks is None:
+        return None
+    stacks = []
+    for k, d in enumerate(desc.summand_dims):
+        leaves = _children(blocks[k::m], d, d, 2)
+        if leaves is None or not set(map(type, leaves)) <= {float, int}:
+            return None
+        try:
+            a = np.fromiter(map(float, leaves), np.float64, len(leaves))
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if not np.isfinite(a).all():
+            return None
+        a.setflags(write=False)  # so that a metric's entries may be views of it
+        stacks.append(a.view(np.complex128).reshape(n, n, d, d))
+    return stacks
+
+
+def _parse_stacks(node, desc: AlgebraDescriptor, n: int, path: str) -> list[np.ndarray]:
+    """The ``(n, n, d, d)`` stack of each summand of an ``n x n`` table, read
+    whole by ``_float_stacks`` where it can be.  Else the table is walked
+    pair by pair in reading order: the walk accepts every number the schema
+    allows and raises ``SchemaError`` at the first node that breaks it."""
+    stacks = _float_stacks(node, desc, n)
+    if stacks is not None:
+        return stacks
+    m, dims = desc.num_summands, desc.summand_dims
+    stacks = [np.empty((n, n, d, d), dtype=np.complex128) for d in dims]
     _expect(isinstance(node, list) and len(node) == n, path, f"expected {n} rows")
     for i, row in enumerate(node):
-        _expect(
-            isinstance(row, list) and len(row) == n,
-            f"{path}[{i}]",
-            f"expected {n} entries",
-        )
+        _expect(isinstance(row, list) and len(row) == n, f"{path}[{i}]", f"expected {n} entries")
         for j, entry in enumerate(row):
-            epath = f"{path}[{i}][{j}]"
-            _expect(
-                isinstance(entry, list) and len(entry) == desc.num_summands,
-                epath,
-                f"expected {desc.num_summands} blocks",
-            )
-            yield i, j, [
-                _parse_block(b, d, f"{epath}[{k}]")
-                for k, (b, d) in enumerate(zip(entry, desc.summand_dims))
-            ]
+            p = f"{path}[{i}][{j}]"
+            _expect(isinstance(entry, list) and len(entry) == m, p, f"expected {m} blocks")
+            for k, (S, block, d) in enumerate(zip(stacks, entry, dims)):
+                _expect(isinstance(block, list) and len(block) == d, f"{p}[{k}]",
+                        f"expected {d} rows")
+                for a, line in enumerate(block):
+                    _expect(isinstance(line, list) and len(line) == d, f"{p}[{k}][{a}]",
+                            f"expected {d} entries")
+                    for b, pair in enumerate(line):
+                        q = f"{p}[{k}][{a}][{b}]"
+                        _expect(isinstance(pair, list) and len(pair) == 2, q,
+                                "expected an [re, im] pair")
+                        S[i, j, a, b] = complex(_parse_number(pair[0], f"{q}[0]"),
+                                                _parse_number(pair[1], f"{q}[1]"))
+    return stacks
 
 
 def kernel_from_json(doc, path: str = "$") -> Kernel:
-    """Parses each block straight into its slot of the kernel's arrays."""
     desc, index_set = _parse_header(doc, path)
-    node = _get(doc, "values", path)
-    return _kernel_from_entries(
-        index_set, desc, _parse_entries(node, desc, index_set.n, f"{path}.values"))
+    stacks = _parse_stacks(_get(doc, "values", path), desc, index_set.n, f"{path}.values")
+    return _kernel_of(index_set, desc, [_assembled(S) for S in stacks])
 
 
 def metric_from_json(doc, path: str = "$") -> CStarMetric:
     desc, index_set = _parse_header(doc, path)
-    n = index_set.n
-    stacks = [np.empty((n, n, d, d), dtype=np.complex128) for d in desc.summand_dims]
-    for i, j, blocks in _parse_entries(_get(doc, "metric", path), desc, n, f"{path}.metric"):
-        for S, b in zip(stacks, blocks):
-            S[i, j] = b
+    stacks = _parse_stacks(_get(doc, "metric", path), desc, index_set.n, f"{path}.metric")
     return _metric_of(index_set, desc, stacks)
 
 

@@ -341,3 +341,46 @@ def reference_dump_json(obj) -> str:
     out = []
     _reference_render(obj, out, 0)
     return "".join(out) + "\n"
+
+
+def reference_parse_table(doc: dict, key: str) -> list:
+    """The ``(n, n, d, d)`` stack of each summand of a document's table under
+    ``key``, read one ``[re, im]`` pair at a time."""
+    n, dims = len(doc["set"]), doc["algebra"]["summands"]
+    stacks = [np.empty((n, n, d, d), dtype=np.complex128) for d in dims]
+    for i, row in enumerate(doc[key]):
+        for j, entry in enumerate(row):
+            for S, block in zip(stacks, entry, strict=True):
+                for a, block_row in enumerate(block):
+                    for b, (re, im) in enumerate(block_row):
+                        S[i, j, a, b] = complex(float(re), float(im))
+    return stacks
+
+
+def same_stacks(table, stacks) -> bool:
+    """Whether the entries of a kernel or metric equal ``stacks``, one
+    ``(n, n, d, d)`` array per summand, bit for bit."""
+    mine = [np.array([[v.blocks[k] for v in row] for row in table.values])
+            for k in range(table.descriptor.num_summands)]
+    return [(S.shape, S.tobytes()) for S in mine] == [(S.shape, S.tobytes()) for S in stacks]
+
+
+def reference_shape_failure(K, tol=DEFAULT_TOL, s0=None, name="K"):
+    """The message of the first failed precondition, one entry at a time:
+    ``sum_sq_diff_decomposition``'s (every entry self-adjoint) when ``s0`` is
+    ``None``, else ``recover_contraction``'s on ``name`` (the entries at
+    ``(s, s0)`` self-adjoint); ``None`` when they hold."""
+    scale, labels = max(1.0, reference_kernel_norm(K)), K.index_set.labels
+    for i in range(K.n):
+        if op_norm(K.values[i][i]) > tol.tol_rel * scale:
+            if s0 is None:
+                return f"diagonal entry at {labels[i]!r} is not zero"
+            return f"{name} must vanish on the diagonal"
+        for j in range(K.n) if s0 is None else [K.index_set.index(s0)]:
+            x = K.values[i][j]
+            if op_norm(x - adjoint(x)) > tol.tol_rel * scale:
+                if s0 is None:
+                    return ("kernel entries must be self-adjoint "
+                            f"(offender at ({labels[i]!r}, {labels[j]!r}))")
+                return f"{name}(s, {s0!r}) must be self-adjoint for every s"
+    return None

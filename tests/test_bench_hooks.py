@@ -3,10 +3,10 @@
 ``perfbench/spans.py`` wraps, by name, every public function of the package,
 ``Kernel.is_hermitian``, ``AlgebraElement.__init__`` and some
 ``numpy.linalg`` routines.  Installing it, deciding one kernel by each CPD
-route, running the metric commands, and uninstalling it here makes a
-refactor that drops or renames one of those hooks, or stops running a layer
-whose share the benchmark reports, fail the test suite instead of the
-benchmark run.  The tracer file is loaded read-only; nothing under
+route, running the metric and kernel commands, and uninstalling it here
+makes a refactor that drops or renames one of those hooks, or stops running
+a layer whose share the benchmark reports, fail the test suite instead of
+the benchmark run.  The tracer file is loaded read-only; nothing under
 ``perfbench/`` is written.
 """
 
@@ -124,3 +124,44 @@ def test_metric_commands_run_under_the_tracer(tmp_path):
         if metric["name"] != "trace.overhead":
             assert metrics[metric["name"]][1] == metric["unit"]
     assert 0.0 < metrics["focus.metric.share"][0] <= 1.0
+
+
+def test_kernel_commands_run_under_the_tracer(tmp_path):
+    spans = _load_spans()
+    cfg = GenConfig(seed=1, n=4, descriptor=AlgebraDescriptor([2, 2]))
+    paths = {}
+    for name, K in (("cpd", cpdkernels.random_cpd_kernel(cfg)),
+                    ("diag", cpdkernels.random_cpd_kernel(cfg, diagonal_zero=True))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(cpdkernels.dump_json(cpdkernels.kernel_to_json(K)), encoding="utf-8")
+    commands = (["transform", str(paths["cpd"])], ["ssd-decompose", str(paths["diag"]), "--verify"])
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    codes = []
+    try:
+        for op, argv in enumerate(commands):
+            tracer.kinds[op], tracer.expected[op] = f"kernel-{argv[0]}", ()
+            tracer.op_id, tracer.active = op, True
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cpdkernels.cli.main(argv))
+            tracer.latency[op] = time.perf_counter() - start
+            tracer.active = False
+    finally:
+        uninstall()
+    assert codes == [0, 0]
+
+    names = [tracer.names[i] for i in tracer.name]
+    ops = list(tracer.op)
+    for name in ("serialize.load_document", "serialize.dump_json"):
+        assert [op for n, op in zip(names, ops) if n == name] == [0, 1]
+    # The preconditions of the split take one batched 2-norm per summand;
+    # the verify block's two kernel_norm calls take the other four.
+    assert sum(1 for n, op in zip(names, ops) if n == "linalg.norm2" and op == 1) == 2 + 4
+
+    metrics = spans.layer_metrics(tracer, {"kernel": ("serialize.",)})
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for metric in contract["per_layer"]:
+        if metric["name"] != "trace.overhead":
+            assert metrics[metric["name"]][1] == metric["unit"]
+    assert 0.0 < metrics["focus.kernel.share"][0] <= 1.0

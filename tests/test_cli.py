@@ -293,6 +293,14 @@ class TestInputHandling:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--tol-rel", "--rank-tol-rel"])
+    def test_non_finite_tolerance(self, capsys, cpd_path, flag, value):
+        # "=" keeps argparse from reading "-inf" as an option.
+        code, out, err = run(capsys, f"{flag}={value}", "check-pd", cpd_path)
+        assert (code, out) == (2, "")
+        assert err == "tolerances must be positive and finite\n"
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("off", [1.7e308, -1.7e308])

@@ -43,6 +43,7 @@ from helpers import (
     reference_factor_kernel,
     reference_majorized_kernel,
     reference_reconstruct_cpd,
+    reference_shape_failure,
     reference_sum_sq_diff_reconstruct,
     same_bits,
     single_block,
@@ -234,6 +235,40 @@ class TestSumSqDiffDecomposition:
         with pytest.raises(PreconditionFailure) as exc:
             sum_sq_diff_decomposition(K)
         assert exc.value.verdict is not None
+
+
+class TestBatchedPreconditions:
+    """The precondition checks on whole arrays name the offender that the
+    per-entry loops named first, diagonal ``i`` before row ``i``."""
+
+    @pytest.mark.parametrize("dims", KERNEL_DESCRIPTORS)
+    def test_first_offender(self, dims):
+        rng = np.random.default_rng(len(dims))
+        base = random_cpd_kernel(
+            GenConfig(seed=3, n=5, descriptor=AlgebraDescriptor(dims)), diagonal_zero=True)
+        seen = set()
+        for _ in range(12):
+            table = [[[np.array(b) for b in v.blocks] for v in row] for row in base.values]
+            for _ in range(2):
+                i, j = (int(x) for x in rng.integers(0, 5, 2))
+                k = int(rng.integers(0, len(dims)))
+                eps = float(rng.choice([1e-12, 2e-9, 1e-3]))  # 2e-9: within the scaled bound
+                if i == j:
+                    table[i][i][k] += eps * np.eye(dims[k])
+                else:
+                    table[i][j][k] += 1j * eps * np.eye(dims[k])
+                    table[j][i][k] -= 1j * eps * np.eye(dims[k])
+            K = Kernel(base.index_set, base.descriptor,
+                       [[AlgebraElement(base.descriptor, v) for v in row] for row in table])
+            for s0, check in ((None, sum_sq_diff_decomposition),
+                              ("s3", lambda K: recover_contraction(K, K, "s3"))):
+                expected = reference_shape_failure(K, s0=s0)
+                seen.add(expected is None)
+                if expected is not None:
+                    with pytest.raises(PreconditionFailure) as exc:
+                        check(K)
+                    assert str(exc.value) == expected
+        assert seen == {True, False}
 
 
 class TestStackedReconstructions:

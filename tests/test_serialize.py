@@ -31,6 +31,7 @@ from cpdkernels import (
     metric_to_json,
     random_cpd_kernel,
     random_gram_kernel,
+    random_hermitian_kernel,
     random_majorized_pair,
     random_metric,
     random_non_cpd_kernel,
@@ -48,7 +49,12 @@ from cpdkernels.serialize import (
 )
 
 from cpdkernels import cli
-from helpers import reference_dump_json
+from helpers import (
+    KERNEL_DESCRIPTORS,
+    reference_dump_json,
+    reference_parse_table,
+    same_stacks,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -91,21 +97,46 @@ class TestDumpJson:
 
 
 class TestLeafListRenderer:
-    """Lists of floats are rendered in one join; the bytes are those of the
-    renderer that recurses into every node."""
+    """Lists of floats, and rectangular nests of them, are rendered by one
+    format; the bytes are those of the renderer that recurses into every
+    node."""
 
     @pytest.mark.parametrize("obj", [
         [], [True, 1.0], [1, 2.0], [np.float64(0.1), 0.2], (0.5, -0.0, 1e-300),
         {"x": [[1.0, -2.5e17], [3.0, 4.0]], "y": [np.float64(3.0)]},
+        [[]], [[1.0], [2.0, 3.0]], [[1.0, 2]], [[np.float64(1.0)]],
+        [[-0.0, 1e-300, 5e-324]], [[[1.0, 2.0]], [(3.0, 4.0)]], [[1.0, [2.0]]],
+        {"a": [[[0.5, -1.5], [2.5, 1e16]], [[1e17, 0.1], [3.0, 4.0]]]},
     ])
     def test_edge_leaves(self, obj):
         assert dump_json(obj) == reference_dump_json(obj)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @given(leaves=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4,
+                           max_size=4))
+    def test_every_double_renders_as_one_at_a_time(self, leaves):
+        obj = {"pairs": [leaves[:2], leaves[2:]]}
+        assert dump_json(obj) == reference_dump_json(obj)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_leaves_are_rejected(self, bad):
-        for obj in ([1.0, bad], [np.float64(bad)]):
+        deep = [[[[1.0, 2.0], [3.0, 4.0]]] * 3, [[[1.0, 2.0], [3.0, bad]]] * 3]
+        for obj in ([1.0, bad], [np.float64(bad)], deep, {"x": [[0.5], [bad]]}):
             with pytest.raises(ValueError, match="non-finite"):
                 dump_json(obj)
+
+    @pytest.mark.parametrize("argv", [["ssd-decompose", "--verify"], ["transform"]])
+    def test_megabyte_reports(self, tmp_path, monkeypatch, argv):
+        cfg = GenConfig(seed=1, n=10, descriptor=AlgebraDescriptor([8, 8]))
+        path = tmp_path / "kernel.json"
+        K = random_cpd_kernel(cfg, diagonal_zero=argv[0] == "ssd-decompose")
+        path.write_text(dump_json(kernel_to_json(K)), encoding="utf-8")
+        reports = []
+        monkeypatch.setattr(cli, "dump_json", lambda obj: reports.append(obj) or dump_json(obj))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["--no-timings", argv[0], str(path), *argv[1:]]) == 0
+        assert len(reports) == 1 and len(out.getvalue()) > 1_000_000
+        assert out.getvalue() == reference_dump_json(reports[0])
 
     def test_every_command_report(self, tmp_path, monkeypatch):
         rendered = []
@@ -167,6 +198,63 @@ class TestKernelRoundtrip:
     def test_direct_parse(self):
         K = kernel_from_json(kernel_to_json(scalar_kernel([[0.0, -1.0], [-1.0, 0.0]])))
         assert K.n == 2
+
+
+class TestBlockParser:
+    """Tables are read one array per summand; the bits, the accepted inputs
+    and the located errors are those of the reader that walks every pair."""
+
+    @pytest.mark.parametrize("dims", KERNEL_DESCRIPTORS)
+    def test_kernels_match_the_pair_reader(self, dims):
+        cfg = GenConfig(seed=len(dims), n=4, descriptor=AlgebraDescriptor(dims))
+        for K in (random_hermitian_kernel(cfg), random_cpd_kernel(cfg, diagonal_zero=True)):
+            doc = json.loads(dump_json(kernel_to_json(K)))
+            assert same_stacks(kernel_from_json(doc), reference_parse_table(doc, "values"))
+
+    @pytest.mark.parametrize("dims", [[1], [2, 1], [3, 3]])
+    def test_metrics_match_the_pair_reader(self, dims):
+        dm = random_metric(GenConfig(seed=3, n=5, descriptor=AlgebraDescriptor(dims)))
+        doc = json.loads(dump_json(metric_to_json(dm)))
+        assert same_stacks(metric_from_json(doc), reference_parse_table(doc, "metric"))
+
+    def test_integers_are_read_as_floats(self):
+        doc = json.loads(dump_json(kernel_to_json(scalar_kernel([[0.0, 2.0], [2.0, 0.0]]))))
+        doc["values"][0][1][0][0][0][0] = 2**53 + 1
+        doc["values"][1][0][0][0][0] = [-(2**70), 0]
+        K = kernel_from_json(doc)
+        assert same_stacks(K, reference_parse_table(doc, "values"))
+        assert K.value(0, 1).blocks[0][0, 0] == float(2**53 + 1) == 2.0**53
+
+    @pytest.mark.parametrize("leaf, where, message", [
+        ("7", "[3][1]", None),
+        ("true", "[3][0]", "expected a number"),
+        ("NaN", "[3][1]", "expected a finite number, not NaN or Infinity"),
+        ("-Infinity", "[3][0]", "expected a finite number, not NaN or Infinity"),
+        ("1e999", "[3][1]", "expected a finite number, not NaN or Infinity"),
+        ("1" + "0" * 400, "[3][0]", "expected a finite number, not NaN or Infinity"),
+        ("[0.5]", "[3]", "expected an [re, im] pair"),
+        ("SHORT", "", "expected 8 entries"),
+    ])
+    def test_deep_leaves_are_read_or_located(self, leaf, where, message):
+        K = random_cpd_kernel(GenConfig(seed=2, n=3, descriptor=AlgebraDescriptor([8, 8])))
+        doc = kernel_to_json(K)
+        row = doc["values"][2][1][1][5]
+        if leaf == "SHORT":
+            row.pop()
+        elif where == "[3]":
+            row[3] = json.loads(leaf)
+        else:
+            row[3][int(where[-2])] = "LEAF"
+        text = dump_json(doc).replace('"LEAF"', leaf)
+        if message is None:
+            parsed = load_document(text)
+            assert parsed.value(2, 1).blocks[1][5, 3] == complex(row[3][0], 7.0)
+            assert same_stacks(parsed, reference_parse_table(json.loads(text), "values"))
+            return
+        with pytest.raises(SchemaError) as exc:
+            load_document(text)
+        assert exc.value.path == "$.values[2][1][1][5]" + where
+        assert str(exc.value) == f"{exc.value.path}: {message}"
 
 
 class TestMetricRoundtrip:
