@@ -11,7 +11,8 @@ tolerance: an element passes if it is hermitian within ``tol_rel`` and every
 block satisfies ``lambda_min >= -tol_rel * max(1, ||block||)``.  For the
 kernel tests, ``psd_defect`` first tries Cholesky on the matrix shifted by
 ``tol_rel / 2 * max(1, max |diagonal|)``; by its backward error (Higham,
-2002, ch. 10) success proves a pass, and only a failure is eigensolved.
+2002, ch. 10) success proves a pass.  Otherwise ``eigvalsh`` decides and
+inverse iteration gives the witness, or ``eigh`` near the threshold.
 """
 
 from __future__ import annotations
@@ -321,23 +322,59 @@ def _cholesky_passes(H: np.ndarray, tol: ToleranceConfig) -> bool:
         return False
     s_lo = max(1.0, float(np.abs(np.diagonal(H)).max()))
     try:
-        np.linalg.cholesky(H + (c * tol.tol_rel * s_lo) * np.eye(N))
+        np.linalg.cholesky(_shift_diagonal(H, c * tol.tol_rel * s_lo))
     except np.linalg.LinAlgError:
         return False
     return True
 
 
+def _shift_diagonal(H: np.ndarray, c: float) -> np.ndarray:
+    """``H + c I`` in fresh memory, by an add on the diagonal of a copy."""
+    A = H.astype(np.result_type(H, 1.0))
+    A.reshape(-1)[:: A.shape[0] + 1] += c
+    return A
+
+
+# Times the order: how far apart LAPACK's eigensolvers may put a margin.
+_BAND = 64 * np.finfo(np.float64).eps
+
+
+def _eigh_defect(h: np.ndarray):
+    """``psd_defect``'s margin, eigenvalue and vector by a full ``eigh``."""
+    w, u = np.linalg.eigh(h)
+    margin = _require_finite([w])[0][0] / max(1.0, float(np.max(np.abs(w))))
+    return margin, float(w[0]), u[:, 0].copy()
+
+
 def psd_defect(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     """How a hermitian matrix fails ``lambda_min >= -tol_rel * max(1, max
     |lambda|)``: ``None`` when it passes, else its relative margin, bottom
-    eigenvalue and a unit eigenvector.  A pass is decided by Cholesky where
-    ``_cholesky_passes`` can; a non-finite matrix or eigenvalue raises
-    ``NonFinite``."""
+    eigenvalue and a unit ``v`` with ``||h v - lambda v|| <= 64 N eps s``,
+    ``s = max(1, max |lambda|)``.  ``eigh`` answers within ``_BAND N`` of the
+    threshold, where the iteration fails and where it might not give a margin
+    of exactly -1: verdicts and margins of -1 are ``eigh``'s.  Non-finite
+    values raise ``NonFinite``."""
     if _cholesky_passes(_require_finite([h])[0], tol):
         return None
-    w, u = np.linalg.eigh(h)
-    margin = _require_finite([w])[0][0] / max(1.0, float(np.max(np.abs(w))))
-    return (margin, float(w[0]), u[:, 0].copy()) if margin < -tol.tol_rel else None
+    w = _require_finite([np.linalg.eigvalsh(h)])[0]
+    N, s = h.shape[0], max(1.0, float(np.max(np.abs(w))))
+    margin, lam, bound = w[0] / s, float(w[0]), _BAND * N * s
+    if abs(margin + tol.tol_rel) <= _BAND * N or (
+            margin == -1.0 and -lam - max(1.0, w[-1]) <= bound):
+        found = _eigh_defect(h)
+        return found if found[0] < -tol.tol_rel else None
+    if margin >= -tol.tol_rel:
+        return None
+    A = _shift_diagonal(h, bound / 16 - lam)  # h - sigma I, sigma = lambda - 4 N eps s
+    try:
+        with np.errstate(all="ignore"):  # a breakdown fails the residual test
+            v = np.linalg.solve(A, np.ones(N, dtype=A.dtype))
+            v = np.linalg.solve(A, v / np.linalg.norm(v))
+            v = v / np.linalg.norm(v)
+            converged = np.linalg.norm(h @ v - lam * v) <= bound
+    except np.linalg.LinAlgError:
+        converged = False
+    return (margin, lam, v) if converged else _eigh_defect(h)
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:

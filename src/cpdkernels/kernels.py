@@ -39,6 +39,8 @@ from .algebra import (
     AlgebraElement,
     DimensionMismatch,
     ToleranceConfig,
+    _BAND,
+    _eigh_defect,
     _require_finite,
     adjoint,
     hermitian_defects,
@@ -114,7 +116,8 @@ class Witness:
     """Certificate of a failed positivity test: a unit vector ``v`` with
     ``v* M v = eigenvalue`` below tolerance for the matrix ``M`` named by the
     operation (an assembled summand matrix, a compressed matrix, or a
-    per-pair difference)."""
+    per-pair difference): ``M``'s bottom eigenpair by ``eigh`` or, to within
+    ``64 N eps max(1, ||M||)`` at order ``N``, by inverse iteration."""
 
     summand: int
     eigenvalue: float
@@ -360,15 +363,22 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 
 def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig) -> Verdict:
     """PSD test over a family of matrices, one per summand, on their hermitian
-    parts.  Fails on the summand with the most negative relative margin,
-    reporting that summand's bottom eigenpair."""
+    parts.  Fails on the summand with the most negative relative margin, the
+    first on a tie, reporting its ``psd_defect`` eigenvalue and vector.
+    Margins within ``2 _BAND N`` of the worst, but for those of exactly -1,
+    are taken from ``eigh``, so the summand is the one ``eigh`` would name."""
     defects = [
         (found, k) for k, M in enumerate(mats)
         if (found := psd_defect(_hermitian_part(M), tol)) is not None
     ]
     if not defects:
         return Verdict(True)
-    (_, lam, vec), k = min(defects, key=lambda fk: fk[0][0])
+    cut = min(f[0] for f, _ in defects) + 2 * _BAND * max(M.shape[0] for M in mats)
+    ties = [(f, k) for f, k in defects if f[0] <= cut]
+    if len(ties) > 1:
+        ties = [(f if f[0] == -1.0 else _eigh_defect(_hermitian_part(mats[k])), k)
+                for f, k in ties]
+    (_, lam, vec), k = min(ties, key=lambda fk: fk[0][0])
     return Verdict(False, Witness(k, lam, vec))
 
 

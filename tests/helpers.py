@@ -1,8 +1,11 @@
 """Construction shortcuts shared by the test modules, and per-entry
 reference implementations that the array code is compared against."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -384,3 +387,16 @@ def reference_shape_failure(K, tol=DEFAULT_TOL, s0=None, name="K"):
                             f"(offender at ({labels[i]!r}, {labels[j]!r}))")
                 return f"{name}(s, {s0!r}) must be self-adjoint for every s"
     return None
+
+
+def load_bench_module(name: str):
+    """``perfbench/<name>.py``, loaded read-only (no bytecode is written)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module

@@ -68,7 +68,7 @@ def test_every_route_runs_under_the_tracer_and_uninstalls():
         "kernels.shift_transform",
         "kernels.cond_positive_matrix_check",
         "kernels.Kernel.is_hermitian",
-        "linalg.eigh",
+        "linalg.eigvalsh",
     } <= seen
     # Decisions run on the stored arrays and build no elements; the one
     # element built on purpose shows the constructor hook still counts.

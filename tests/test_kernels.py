@@ -34,6 +34,7 @@ from cpdkernels import (
     kernel_norm,
     kernel_to_json,
     op_norm,
+    psd_defect,
     random_cpd_kernel,
     random_gram_kernel,
     random_hermitian_kernel,
@@ -44,13 +45,14 @@ from cpdkernels import (
     shift_transform,
     two_by_two_check,
 )
-from cpdkernels.algebra import _cholesky_passes
+from cpdkernels.algebra import _BAND, _cholesky_passes
 from cpdkernels.kernels import _kernel_of
 from helpers import (
     KERNEL_DESCRIPTORS,
     block_kernel,
     difference_basis,
     eigh_verdict,
+    load_bench_module,
     reference_cauchy_schwarz_cpd,
     reference_cauchy_schwarz_pd,
     reference_entrywise,
@@ -611,12 +613,22 @@ class TestCholeskyPassTest:
         return _kernel_of(K.index_set, K.descriptor, grams)
 
     @staticmethod
-    def _same(got, want):
+    def _same(got, mats):
+        """The verdict and summand of the eigensolver; the eigenvalue to
+        within the eigensolvers' spread and a unit vector that is an
+        eigenvector to within it, for the witness comes from ``eigvalsh``
+        and inverse iteration."""
+        want = eigh_verdict(mats)
         assert got.holds == want.holds
         if not want.holds:
             assert got.witness.summand == want.witness.summand
-            assert got.witness.eigenvalue == want.witness.eigenvalue
-            assert got.witness.vector.tobytes() == want.witness.vector.tobytes()
+            M = mats[want.witness.summand]
+            H = 0.5 * (M + M.conj().T)
+            bound = _BAND * H.shape[0] * max(1.0, np.abs(np.linalg.eigvalsh(H)).max())
+            lam, v = got.witness.eigenvalue, got.witness.vector
+            assert abs(lam - want.witness.eigenvalue) <= bound
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert np.linalg.norm(H @ v - lam * v) <= bound
 
     @pytest.mark.parametrize("margin", MARGINS)
     def test_every_route_matches_the_eigensolver(self, margin):
@@ -625,12 +637,12 @@ class TestCholeskyPassTest:
             K = self._at_margin(random_cpd_kernel(cfg), margin)
             verdict = is_conditionally_positive_definite(K)
             assert verdict.holds == (margin > -1.0)
-            self._same(verdict, eigh_verdict(compressed_gram(K)))
+            self._same(verdict, compressed_gram(K))
             s0 = K.index_set.labels[-1]
             L = shift_transform(K, s0)
-            self._same(is_positive_definite(L), eigh_verdict(assemble_gram(L)))
+            self._same(is_positive_definite(L), assemble_gram(L))
             shifted = assemble_gram(2.0 * L)
-            self._same(cond_positive_matrix_check(K, K.n), eigh_verdict(shifted))
+            self._same(cond_positive_matrix_check(K, K.n), shifted)
 
     @pytest.mark.parametrize("margin", [m for m in MARGINS if m > 0])
     def test_clear_passes_are_decided_by_cholesky(self, margin):
@@ -645,6 +657,121 @@ class TestCholeskyPassTest:
         # fits in the tolerance, so a pass needs the eigenvalues.
         assert _cholesky_passes(np.eye(1060), DEFAULT_TOL)
         assert not _cholesky_passes(np.eye(1061), DEFAULT_TOL)
+
+
+class TestInverseIterationWitness:
+    """Failing summands are decided by ``eigvalsh`` and the witness built by
+    inverse iteration; ``eigh`` decides within the band of the threshold,
+    ranks near-ties and is the fallback.  Each path against ``eigh``."""
+
+    _at_margin = staticmethod(TestCholeskyPassTest._at_margin)
+
+    @staticmethod
+    def _counted(monkeypatch, name):
+        calls, fn = [], getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+        return calls
+
+    @staticmethod
+    def _routes(K):
+        """Each CPD route as the benchmark's checker names it, with its
+        verdict and the matrices it decides."""
+        L = shift_transform(K, K.index_set.labels[0])
+        return [
+            ("compression", is_conditionally_positive_definite(K), compressed_gram(K)),
+            ("shift", is_positive_definite(L), assemble_gram(L)),
+            ("corm", cond_positive_matrix_check(K, 1), assemble_gram(2.0 * L)),
+        ]
+
+    @pytest.mark.parametrize("k", [1, 16])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_margins_on_the_band_are_decided_by_eigh(self, monkeypatch, k, side):
+        eps = np.finfo(np.float64).eps
+        for i, dims in enumerate(KERNEL_DESCRIPTORS):
+            cfg = GenConfig(seed=300 + i, n=2 + i % 4, descriptor=AlgebraDescriptor(dims))
+            N = (cfg.n - 1) * max(dims)
+            K = self._at_margin(random_cpd_kernel(cfg), -(1.0 + side * k * N * eps))
+            want = eigh_verdict(compressed_gram(K))
+            eighs = self._counted(monkeypatch, "eigh")
+            assert same_verdict(is_conditionally_positive_definite(K), want)
+            assert eighs
+            monkeypatch.undo()
+
+    @staticmethod
+    def _singular(A, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    @staticmethod
+    def _breaks_down(A, b):
+        return np.full_like(b, np.nan)
+
+    @pytest.mark.parametrize("solve", ["_singular", "_breaks_down"])
+    def test_a_failed_solve_falls_back_to_eigh(self, monkeypatch, solve):
+        for i, dims in enumerate(KERNEL_DESCRIPTORS):
+            cfg = GenConfig(seed=400 + i, n=2 + i % 4, descriptor=AlgebraDescriptor(dims))
+            K = random_non_cpd_kernel(cfg)
+            wants = [eigh_verdict(mats) for _, _, mats in self._routes(K)]
+            monkeypatch.setattr(np.linalg, "solve", getattr(self, solve))
+            for (_, verdict, _), want in zip(self._routes(K), wants):
+                assert not want.holds
+                assert same_verdict(verdict, want)
+            monkeypatch.undo()
+
+    def test_near_ties_are_ranked_by_eigh(self):
+        for i, dims in enumerate(d for d in KERNEL_DESCRIPTORS if len(d) > 1):
+            cfg = GenConfig(seed=500 + i, n=3, descriptor=AlgebraDescriptor(dims))
+            K = self._at_margin(random_cpd_kernel(cfg), -10.0)
+            mats = compressed_gram(K)
+            assert same_verdict(is_conditionally_positive_definite(K), eigh_verdict(mats))
+
+    def test_a_tie_at_minus_one_goes_to_the_first_summand_without_eigh(self, monkeypatch):
+        checker = load_bench_module("check").Checker()
+        for i, dims in enumerate(d for d in KERNEL_DESCRIPTORS if len(d) > 1):
+            cfg = GenConfig(seed=600 + i, n=4, descriptor=AlgebraDescriptor(dims))
+            K = -1.0 * random_gram_kernel(cfg)
+            want = eigh_verdict(compressed_gram(K))
+            assert want.witness.summand == 0
+            eighs = self._counted(monkeypatch, "eigh")
+            verdict = is_conditionally_positive_definite(K)
+            assert not eighs
+            monkeypatch.undo()
+            lam, N = verdict.witness.eigenvalue, compressed_gram(K)[0].shape[0]
+            assert verdict.witness.summand == 0
+            assert abs(lam - want.witness.eigenvalue) <= _BAND * N * abs(lam)
+            assert checker.decision(K, "compression", False, verdict) is None
+
+    def test_a_margin_of_minus_one_without_a_clear_gap_goes_to_eigh(self, monkeypatch):
+        eighs = self._counted(monkeypatch, "eigh")
+        assert psd_defect(np.diag([-2.0, 0.5, 1.0]))[0] == -1.0
+        assert not eighs
+        assert psd_defect(np.diag([-2.0, 0.5, 2.0]))[0] == -1.0
+        assert eighs
+
+    @staticmethod
+    def _witnesses_recheck(K, checker):
+        for route, verdict, mats in TestInverseIterationWitness._routes(K):
+            TestCholeskyPassTest._same(verdict, mats)
+            if not verdict.holds:
+                assert checker.decision(K, route, False, verdict) is None
+
+    @pytest.mark.parametrize("margin", TestCholeskyPassTest.MARGINS)
+    def test_every_witness_rechecks(self, margin):
+        checker = load_bench_module("check").Checker()
+        for i, dims in enumerate(KERNEL_DESCRIPTORS):
+            cfg = GenConfig(seed=200 + i, n=2 + i % 4, descriptor=AlgebraDescriptor(dims))
+            self._witnesses_recheck(self._at_margin(random_cpd_kernel(cfg), margin), checker)
+
+    def test_a_clustered_bottom_spectrum_converges(self, monkeypatch):
+        # Order 384: a single family leaves the compression of rank 64; the
+        # bottom eigenvalue sits 2 tol_rel * scale below 319 zero ones.
+        cfg = GenConfig(seed=7, n=7, descriptor=AlgebraDescriptor([64]), rank=1)
+        K = self._at_margin(random_cpd_kernel(cfg, diagonal_zero=True), -2.0)
+        assert compressed_gram(K)[0].shape == (384, 384)
+        eighs = self._counted(monkeypatch, "eigh")
+        verdict = is_conditionally_positive_definite(K)
+        assert not verdict.holds and not eighs
+        monkeypatch.undo()
+        self._witnesses_recheck(K, load_bench_module("check").Checker())
 
 
 class TestFailClosed:
