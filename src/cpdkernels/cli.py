@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .algebra import AlgebraDescriptor, DimensionMismatch, ToleranceConfig, spectral_norms
+from .algebra import AlgebraDescriptor, DimensionMismatch, ToleranceConfig
 from .decomposition import (
     PreconditionFailure,
     decompose_cpd,
@@ -51,6 +51,7 @@ from .kernels import (
     Kernel,
     NotHermitian,
     UnknownLabel,
+    _max_norm,
     cond_positive_matrix_check,
     is_conditionally_positive_definite,
     is_positive_definite,
@@ -359,7 +360,7 @@ def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
 
 def _metric_error(a: CStarMetric, b: CStarMetric) -> float:
     """Largest entry C*-norm of ``a - b``."""
-    return max(float(spectral_norms(A - B).max()) for A, B in zip(a._stacks, b._stacks))
+    return _max_norm([A - B for A, B in zip(a._stacks, b._stacks)])
 
 
 def _cmd_gen(args) -> tuple[int, Report | None]:

@@ -36,10 +36,8 @@ from .kernels import (
     Kernel,
     Verdict,
     _assembled,
-    _kernel_of,
     _require_hermitian,
     _shifted,
-    _stack,
     assemble_gram,
     is_conditionally_positive_definite,
     is_positive_definite,
@@ -152,8 +150,7 @@ def factor_pd(
         factors.append(np.sqrt(w)[:, None] * u.conj().T)
     # A label whose Gram diagonal block is exactly zero factors through the
     # origin; snap it there so eigensolver noise cannot displace it.
-    for F, d, G in zip(factors, dims, grams):
-        S = _stack(G, L.n)
+    for F, d, S in zip(factors, dims, L._stacks):
         for i in range(L.n):
             if not np.any(S[i, i]):
                 F[:, i * d : (i + 1) * d] = 0.0
@@ -179,7 +176,7 @@ def _cross(X: np.ndarray, P=None) -> np.ndarray:
 
 def factor_kernel(fact: Factorization) -> Kernel:
     """The Gram kernel ``(s,t) -> V(s)* V(t)`` of a factorization."""
-    return _kernel_of(fact.index_set, fact.descriptor,
+    return Kernel._of(fact.index_set, fact.descriptor,
                       [_assembled(_cross(X)) for X in _points(fact)])
 
 
@@ -202,7 +199,7 @@ def decompose_cpd(
     fact = factor_pd(L, tol, check=False)
     i0, n = K.index_set.index(s0), K.n
     H = [(-0.5) * S[range(n), range(n)] - 1j * ((S[:, i0] - S[:, i0].conj().swapaxes(1, 2)) / 2j)
-         for S in (_stack(G, n) for G in K._grams)]  # im_part's arithmetic: the same bits
+         for S in K._stacks]  # im_part's arithmetic: the same bits
     h = {s: AlgebraElement(K.descriptor, [X[i] for X in H])
          for i, s in enumerate(K.index_set.labels)}
     return CPDDecomposition(fact, h, s0)
@@ -219,7 +216,7 @@ def reconstruct_cpd(dec: CPDDecomposition) -> Kernel:
         H = np.array([dec.h[s].blocks[k] for s in labels])
         grams.append(_assembled(
             2.0 * C - D[:, None] - D[None, :] - H[:, None] - H.conj().swapaxes(-1, -2)[None, :]))
-    return _kernel_of(fact.index_set, fact.descriptor, grams)
+    return Kernel._of(fact.index_set, fact.descriptor, grams)
 
 
 def sum_sq_diff_decomposition(
@@ -281,7 +278,7 @@ def sum_sq_diff_reconstruct(
             delta = X[:, None] - X[None, :]
             acc = acc - delta.conj().swapaxes(-1, -2) @ delta
         grams.append(_assembled(acc))
-    return _kernel_of(index_set, descriptor, grams)
+    return Kernel._of(index_set, descriptor, grams)
 
 
 def kernel_leq(K1: Kernel, K2: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:
@@ -310,7 +307,7 @@ def majorized_kernel(fact: Factorization, operator_blocks) -> Kernel:
         F = _cross(X, p)
         D = F[range(n), range(n)]
         grams.append(_assembled(2.0 * F - D[:, None] - D[None, :]))
-    return _kernel_of(fact.index_set, fact.descriptor, grams)
+    return Kernel._of(fact.index_set, fact.descriptor, grams)
 
 
 def _shape_offender(K: Kernel, cols, tol: ToleranceConfig):
@@ -319,7 +316,7 @@ def _shape_offender(K: Kernel, cols, tol: ToleranceConfig):
     ``(i, j)``; ``None`` if none.  Each holds up to ``tol_rel * max(1,
     kernel_norm(K))`` in the 2-norm over summands, by one batched call each."""
     n, scale, norms = K.n, 1.0, []
-    for S in (_stack(G, n) for G in K._grams):
+    for S in K._stacks:
         C, d = S[:, cols], S.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
             D = C - C.conj().swapaxes(-1, -2)

@@ -15,15 +15,11 @@ validates its output instead of trusting the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
-    AlgebraDescriptor,
-    AlgebraElement,
-    DimensionMismatch,
     ModuleElement,
     ToleranceConfig,
     _psd_sqrt,
@@ -37,8 +33,10 @@ from .kernels import (
     Kernel,
     Verdict,
     Witness,
+    _Table,
     _assembled,
-    _kernel_of,
+    _max_norm,
+    _scalar,
     is_conditionally_positive_definite,
     shift_transform,
 )
@@ -69,75 +67,25 @@ class InvalidMetric(ValueError):
         self.verdict = verdict
 
 
-@dataclass(frozen=True, eq=False)
-class CStarMetric:
-    """Algebra-valued distance table on a labeled set.
+class CStarMetric(_Table):
+    """Algebra-valued distance table on a labeled set, stored as ``_Table``
+    stores it.
 
-    Construction checks only shapes; axiom checks live in
+    Construction checks only shapes and finiteness; axiom checks live in
     ``validate_metric`` so that a failing candidate can still be inspected.
     """
 
-    index_set: IndexSet
-    descriptor: AlgebraDescriptor
-    values: tuple[tuple[AlgebraElement, ...], ...]
-
-    def __init__(self, index_set: IndexSet, descriptor: AlgebraDescriptor, values):
-        n = index_set.n
-        rows = tuple(tuple(row) for row in values)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise DimensionMismatch(f"distance table must be {n} x {n}")
-        if any(v.descriptor != descriptor for row in rows for v in row):
-            raise DimensionMismatch("distance entry has a foreign descriptor")
-        object.__setattr__(self, "index_set", index_set)
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "values", rows)
-
-    @property
-    def n(self) -> int:
-        return self.index_set.n
-
-    def value(self, i: int, j: int) -> AlgebraElement:
-        return self.values[i][j]
-
-    def __getitem__(self, pair: tuple[str, str]) -> AlgebraElement:
-        s, t = pair
-        return self.values[self.index_set.index(s)][self.index_set.index(t)]
-
-    @cached_property
-    def _stacks(self) -> tuple[np.ndarray, ...]:
-        """The table as one ``(n, n, d, d)`` array per summand."""
-        return tuple(np.array([[v.blocks[k] for v in row] for row in self.values])
-                     for k in range(self.descriptor.num_summands))
-
-
-def _metric_of(index_set: IndexSet, desc: AlgebraDescriptor, stacks) -> CStarMetric:
-    """The metric whose table is ``stacks``, one ``(n, n, d, d)`` array per
-    summand.  It takes the arrays over and marks them read-only; its entries'
-    blocks are views of them."""
-    for S in stacks:
-        S.setflags(write=False)
-    n = index_set.n
-    dm = CStarMetric(index_set, desc, [
-        [AlgebraElement(desc, [S[i, j] for S in stacks]) for j in range(n)] for i in range(n)
-    ])
-    dm.__dict__["_stacks"] = tuple(stacks)
-    return dm
+    _noun = "distance"
 
 
 def scalar_metric(matrix, labels=None) -> CStarMetric:
     """Distance table over the one-dimensional algebra from a plain array."""
-    mat = np.asarray(matrix, dtype=np.complex128)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise DimensionMismatch("scalar metric needs a square matrix")
-    if labels is None:
-        labels = [f"s{i + 1}" for i in range(n)]
-    return _metric_of(IndexSet(labels), AlgebraDescriptor([1]), [mat.reshape(n, n, 1, 1).copy()])
+    return _scalar(CStarMetric, matrix, labels)
 
 
 def metric_norm(dm: CStarMetric) -> float:
     """Largest entry C*-norm; the scale used by relative tolerances."""
-    return max(float(spectral_norms(S).max()) for S in dm._stacks)
+    return _max_norm(dm._stacks)
 
 
 def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:
@@ -225,7 +173,7 @@ def metric_to_kernel(
         verdict = validate_metric(dm, tol)
         if not verdict.holds:
             raise InvalidMetric(verdict.context or "metric axioms fail", verdict)
-    return _kernel_of(dm.index_set, dm.descriptor, [_assembled(-(S @ S)) for S in dm._stacks])
+    return Kernel._of(dm.index_set, dm.descriptor, [_assembled(-(S @ S)) for S in dm._stacks])
 
 
 def is_embeddable(
@@ -263,7 +211,8 @@ class EmbeddingResult:
         """Distances actually achieved by the embedded points."""
         fact = self.factorization
         points = [fact.V[s] for s in fact.index_set.labels]
-        return _metric_of(fact.index_set, fact.descriptor, _abs_differences(points))
+        return CStarMetric._of(fact.index_set, fact.descriptor,
+                               [_assembled(S) for S in _abs_differences(points)])
 
 
 def _abs_differences(points: list[ModuleElement]) -> list[np.ndarray]:
@@ -337,7 +286,7 @@ def distance_matrix_from_points(
         raise InvalidMetric(
             f"labels ({labels[upper[0][p]]}, {labels[upper[1][p]]}) name coincident points"
         )
-    dm = _metric_of(index_set, first.descriptor, stacks)
+    dm = CStarMetric._of(index_set, first.descriptor, [_assembled(S) for S in stacks])
     verdict = validate_metric(dm, tol)
     if not verdict.holds:
         raise InvalidMetric(verdict.context or "metric axioms fail", verdict)

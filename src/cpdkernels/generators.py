@@ -21,8 +21,7 @@ from .embedding import CStarMetric, distance_matrix_from_points, scalar_metric
 from .kernels import (
     IndexSet,
     Kernel,
-    _kernel_from_entries,
-    _kernel_of,
+    _assembled,
     assemble_gram,
     compressed_gram,
     kernel_norm,
@@ -99,17 +98,45 @@ def _complex_matrix(rng, rows: int, cols: int, magnitude: float) -> np.ndarray:
     return magnitude / np.sqrt(2.0) * (re + 1j * im)
 
 
-def _random_blocks(rng, desc: AlgebraDescriptor, magnitude: float) -> list[np.ndarray]:
-    """The blocks of a random algebra element."""
-    return [_complex_matrix(rng, d, d, magnitude) for d in desc.summand_dims]
+def _complex_draws(rng, count: int, shapes, magnitude: float) -> list[np.ndarray]:
+    """``count`` random complex arrays of each shape in ``shapes``, as one
+    ``(count, *shape)`` array per shape.  The numbers are those of ``count``
+    successive rounds of one ``_complex_matrix`` draw per shape (real parts,
+    then imaginary parts): one ``standard_normal`` call yields the same
+    stream as the calls it replaces."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    z = rng.standard_normal(count * 2 * sum(sizes)).reshape(count, -1)
+    out, at = [], 0
+    for shape, m in zip(shapes, sizes):
+        re = z[:, at : at + m].reshape(count, *shape)
+        im = z[:, at + m : at + 2 * m].reshape(count, *shape)
+        out.append(magnitude / np.sqrt(2.0) * (re + 1j * im))
+        at += 2 * m
+    return out
 
 
-def _table(n: int, desc: AlgebraDescriptor, entry) -> Kernel:
-    """The kernel on ``n`` labels whose entry ``(i, j)`` has the blocks
-    ``entry(i, j)``."""
-    return _kernel_from_entries(
-        IndexSet(_labels(n)), desc,
-        ((i, j, entry(i, j)) for i in range(n) for j in range(n)))
+def _random_elements(rng, count: int, desc: AlgebraDescriptor, magnitude: float):
+    """The blocks of ``count`` random algebra elements, one ``(count, d, d)``
+    array per summand."""
+    return _complex_draws(rng, count, [(d, d) for d in desc.summand_dims], magnitude)
+
+
+def _diag(x: np.ndarray) -> np.ndarray:
+    """The diagonal matrices with the last axis of ``x`` on their diagonals."""
+    d = x.shape[-1]
+    D = np.zeros(x.shape + (d,), dtype=x.dtype)
+    D[..., range(d), range(d)] = x
+    return D
+
+
+def _adj(X: np.ndarray) -> np.ndarray:
+    return X.conj().swapaxes(-1, -2)
+
+
+def _kernel(cfg: GenConfig, stacks) -> Kernel:
+    """The kernel on the configuration's labels with one ``(n, n, d, d)``
+    stack of entry blocks per summand."""
+    return Kernel._of(IndexSet(_labels(cfg.n)), cfg.descriptor, [_assembled(S) for S in stacks])
 
 
 def random_module_element(cfg: GenConfig, index: int = 0) -> ModuleElement:
@@ -127,10 +154,8 @@ def random_module_element(cfg: GenConfig, index: int = 0) -> ModuleElement:
 def random_gram_kernel(cfg: GenConfig) -> Kernel:
     """Kernel ``L(s,t) = g(s)* g(t)`` from random algebra elements ``g``;
     positive definite by construction."""
-    rng = _rng(cfg, _GRAM)
-    g = [_random_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
-    return _table(cfg.n, cfg.descriptor,
-                  lambda i, j: [a.conj().T @ b for a, b in zip(g[i], g[j])])
+    g = _random_elements(_rng(cfg, _GRAM), cfg.n, cfg.descriptor, cfg.magnitude)
+    return _kernel(cfg, [_adj(X)[:, None] @ X[None, :] for X in g])
 
 
 def random_cpd_kernel(cfg: GenConfig, diagonal_zero: bool = False) -> Kernel:
@@ -158,56 +183,41 @@ def random_cpd_kernel(cfg: GenConfig, diagonal_zero: bool = False) -> Kernel:
         frames = [
             np.linalg.qr(_complex_matrix(rng, d, d, 1.0))[0] for d in dims
         ]
-        fams = []
-        for _ in range(q):
-            fam = []
-            for _ in range(cfg.n):
-                fam.append([
-                    p.conj().T
-                    @ np.diag(cfg.magnitude * rng.standard_normal(d))
-                    @ p
-                    for d, p in zip(dims, frames)
-                ])
-            fams.append(fam)
-
-        def entry(i, j):
-            blocks = []
-            for k, d in enumerate(dims):
-                acc = np.zeros((d, d), dtype=np.complex128)
-                for fam in fams:
-                    delta = fam[i][k] - fam[j][k]
-                    acc = acc - delta.conj().T @ delta
-                blocks.append(acc)
-            return blocks
-
-        return _table(cfg.n, cfg.descriptor, entry)
+        # One diagonal draw per (family, label, summand), in that order.
+        z = cfg.magnitude * rng.standard_normal((q, cfg.n, sum(dims)))
+        stacks = []
+        for d, p, at in zip(dims, frames, np.cumsum([0, *dims])):
+            acc = np.zeros((cfg.n, cfg.n, d, d), dtype=np.complex128)
+            for A in _adj(p) @ _diag(z[..., at : at + d]) @ p:  # (n, d, d) per family
+                delta = A[:, None] - A[None, :]
+                acc = acc - _adj(delta) @ delta
+            stacks.append(acc)
+        return _kernel(cfg, stacks)
     rng = _rng(cfg, _CPD_MIX)
     alpha = 0.5 + rng.uniform()
-    g = [_random_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
-    c = [_random_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
-    return _table(cfg.n, cfg.descriptor, lambda i, j: [
-        alpha * (gi.conj().T @ gj) + ci + cj.conj().T
-        for gi, gj, ci, cj in zip(g[i], g[j], c[i], c[j])
+    drawn = _random_elements(rng, 2 * cfg.n, cfg.descriptor, cfg.magnitude)
+    return _kernel(cfg, [
+        alpha * (_adj(g)[:, None] @ g[None, :]) + c[:, None] + _adj(c)[None, :]
+        for g, c in ((X[: cfg.n], X[cfg.n :]) for X in drawn)
     ])
 
 
 def random_hermitian_kernel(cfg: GenConfig, detail: int = 0) -> Kernel:
     """A hermitian kernel with no positivity arranged; for ``n >= 2`` it is
     almost surely not conditionally positive definite."""
-    rng = _rng(cfg, _HERMITIAN, detail)
     n = cfg.n
-
-    def entries():
-        for i in range(n):
-            for j in range(i, n):
-                x = _random_blocks(rng, cfg.descriptor, cfg.magnitude)
-                if i == j:
-                    yield i, i, [0.5 * (b + b.conj().T) for b in x]
-                else:
-                    yield i, j, x
-                    yield j, i, [b.conj().T for b in x]
-
-    return _kernel_from_entries(IndexSet(_labels(n)), cfg.descriptor, entries())
+    upper = np.triu_indices(n)  # row-major, the order of the draws
+    diagonal = upper[0] == upper[1]
+    stacks = []
+    for X in _random_elements(_rng(cfg, _HERMITIAN, detail), upper[0].size,
+                              cfg.descriptor, cfg.magnitude):
+        S = np.empty((n, n) + X.shape[1:], dtype=np.complex128)
+        S[upper[::-1]] = _adj(X)
+        S[upper] = X
+        D = X[diagonal]
+        S[range(n), range(n)] = 0.5 * (D + _adj(D))
+        stacks.append(S)
+    return _kernel(cfg, stacks)
 
 
 def random_non_cpd_kernel(cfg: GenConfig) -> Kernel:
@@ -256,7 +266,7 @@ def random_non_cpd_kernel(cfg: GenConfig) -> Kernel:
         x = np.concatenate([tail, -tail.sum(axis=0, keepdims=True)]).ravel()
         x /= np.linalg.norm(x)
         grams[k] = grams[k] - mu_k * np.outer(x, x.conj())
-    return _kernel_of(H.index_set, cfg.descriptor, grams)
+    return Kernel._of(H.index_set, cfg.descriptor, grams)
 
 
 def random_metric(cfg: GenConfig) -> CStarMetric:
@@ -278,35 +288,15 @@ def random_metric(cfg: GenConfig) -> CStarMetric:
     frames = [np.linalg.qr(_complex_matrix(frame_rng, d, d, 1.0))[0] for d in dims]
     for attempt in range(_MAX_ATTEMPTS):
         rng = _rng(cfg, _METRIC_CORES, attempt)
-        cores = [
-            [
-                cfg.magnitude
-                / np.sqrt(2.0)
-                * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-                for d in dims
-            ]
-            for _ in range(cfg.n)
-        ]
-        separated = all(
-            max(
-                np.max(np.abs(zi - zj))
-                for zi, zj in zip(cores[i], cores[j])
-            )
-            > 1e-6 * cfg.magnitude
-            for i in range(cfg.n)
-            for j in range(i + 1, cfg.n)
-        )
-        if not separated:
+        cores = _complex_draws(rng, cfg.n, [(d,) for d in dims], cfg.magnitude)
+        gaps = np.max([np.abs(Z[:, None] - Z[None, :]).max(axis=-1) for Z in cores], axis=0)
+        if not (gaps[np.triu_indices(cfg.n, 1)] > 1e-6 * cfg.magnitude).all():
             continue
-        points = {
-            label: ModuleElement(
-                cfg.descriptor,
-                dims,
-                [np.diag(z) @ p for z, p in zip(cores[i], frames)],
-            )
+        X = [_diag(Z) @ p for Z, p in zip(cores, frames)]
+        return distance_matrix_from_points({
+            label: ModuleElement(cfg.descriptor, dims, [x[i] for x in X])
             for i, label in enumerate(_labels(cfg.n))
-        }
-        return distance_matrix_from_points(points)
+        })
     raise RuntimeError("rejection sampling failed to separate the points")
 
 

@@ -137,41 +137,51 @@ class Verdict:
 
 
 @dataclass(frozen=True, eq=False)
-class Kernel:
-    """An ``n x n`` table of algebra elements indexed by a labeled set.
+class _Table:
+    """An ``n x n`` table of algebra elements indexed by a labeled set: the
+    storage shared by kernels and metrics.
 
     The table is stored as one read-only complex ``(n d_k, n d_k)`` array per
     summand, the assembled Gram matrix: block ``(i, j)`` of array ``k`` is
-    summand ``k`` of ``K(s_i, s_j)``.  ``values``, ``value(i, j)`` and
-    ``K[s, t]`` read a table of elements built on first use, whose blocks are
+    summand ``k`` of entry ``(s_i, s_j)``.  ``values``, ``value(i, j)`` and
+    ``T[s, t]`` read a table of elements built on first use, whose blocks are
     views of the stored arrays.
 
-    Construction does not enforce hermiticity; a table may be held raw (for
-    instance the entrywise product of two kernels over noncommutative
-    summands).  Decision procedures reject non-hermitian tables.
+    Construction from elements checks the shape and that every number is
+    finite (``NonFinite`` otherwise); it checks no other property.
     """
 
     index_set: IndexSet
     descriptor: AlgebraDescriptor
     _grams: tuple[np.ndarray, ...] = field(repr=False)
+    _noun = "table"
 
     def __init__(self, index_set: IndexSet, descriptor: AlgebraDescriptor, values):
         n = index_set.n
         rows = tuple(tuple(row) for row in values)
         if len(rows) != n or any(len(row) != n for row in rows):
-            raise DimensionMismatch(f"kernel table must be {n} x {n}")
+            raise DimensionMismatch(f"{self._noun} table must be {n} x {n}")
         if any(v.descriptor != descriptor for row in rows for v in row):
-            raise DimensionMismatch("kernel entry has a foreign descriptor")
-        self._store(index_set, descriptor, [
+            raise DimensionMismatch(f"{self._noun} entry has a foreign descriptor")
+        self._store(index_set, descriptor, _require_finite([
             _assembled(np.array([[v.blocks[k] for v in row] for row in rows]))
             for k in range(descriptor.num_summands)
-        ])
+        ], f"a {self._noun} table"))
+
+    @classmethod
+    def _of(cls, index_set: IndexSet, descriptor: AlgebraDescriptor, grams):
+        """The table whose assembled summands are ``grams``.  It takes the
+        arrays over and marks them read-only; the caller must not write to
+        them afterwards."""
+        T = object.__new__(cls)
+        T._store(index_set, descriptor, grams)
+        return T
 
     def _store(self, index_set: IndexSet, descriptor: AlgebraDescriptor, grams) -> None:
         n = index_set.n
         grams = tuple(_owned(G) for G in grams)
         if [G.shape for G in grams] != [(n * d, n * d) for d in descriptor.summand_dims]:
-            raise DimensionMismatch("kernel arrays do not match the set and the algebra")
+            raise DimensionMismatch(f"{self._noun} arrays do not match the set and the algebra")
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "_grams", grams)
@@ -181,10 +191,14 @@ class Kernel:
         return self.index_set.n
 
     @cached_property
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        """The table as one ``(n, n, d, d)`` view per summand."""
+        return tuple(_stack(G, self.n) for G in self._grams)
+
+    @cached_property
     def values(self) -> tuple[tuple[AlgebraElement, ...], ...]:
-        stacks = [_stack(G, self.n) for G in self._grams]
         return tuple(
-            tuple(AlgebraElement(self.descriptor, [S[i, j] for S in stacks])
+            tuple(AlgebraElement(self.descriptor, [S[i, j] for S in self._stacks])
                   for j in range(self.n))
             for i in range(self.n)
         )
@@ -196,6 +210,22 @@ class Kernel:
         s, t = pair
         return self.values[self.index_set.index(s)][self.index_set.index(t)]
 
+    def _check_compatible(self, other: _Table) -> None:
+        if self.index_set != other.index_set or self.descriptor != other.descriptor:
+            raise DimensionMismatch(f"{self._noun}s live on different sets or algebras")
+
+
+class Kernel(_Table):
+    """A kernel: an ``n x n`` table of algebra elements indexed by a labeled
+    set, stored as ``_Table`` stores it.
+
+    Construction does not enforce hermiticity; a table may be held raw (for
+    instance the entrywise product of two kernels over noncommutative
+    summands).  Decision procedures reject non-hermitian tables.
+    """
+
+    _noun = "kernel"
+
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Whether ``||K(s,t) - K(t,s)*|| <= tol_rel * max(1, kernel_norm)``
         for every pair; raises ``NonFinite`` on an infinite or NaN entry."""
@@ -204,7 +234,7 @@ class Kernel:
     @classmethod
     def zero(cls, index_set: IndexSet, descriptor: AlgebraDescriptor) -> Kernel:
         n = index_set.n
-        return _kernel_of(index_set, descriptor, [
+        return cls._of(index_set, descriptor, [
             np.zeros((n * d, n * d), dtype=np.complex128) for d in descriptor.summand_dims
         ])
 
@@ -216,41 +246,15 @@ class Kernel:
 
     def _entrywise(self, op, other: Kernel) -> Kernel:
         self._check_compatible(other)
-        return _kernel_of(self.index_set, self.descriptor,
+        return Kernel._of(self.index_set, self.descriptor,
                           [op(A, B) for A, B in zip(self._grams, other._grams)])
 
     def __mul__(self, scalar) -> Kernel:
         if not isinstance(scalar, Number):
             return NotImplemented
-        return _kernel_of(self.index_set, self.descriptor, [scalar * G for G in self._grams])
+        return Kernel._of(self.index_set, self.descriptor, [scalar * G for G in self._grams])
 
     __rmul__ = __mul__
-
-    def _check_compatible(self, other: Kernel) -> None:
-        if self.index_set != other.index_set or self.descriptor != other.descriptor:
-            raise DimensionMismatch("kernels live on different sets or algebras")
-
-
-def _kernel_of(index_set: IndexSet, desc: AlgebraDescriptor, grams) -> Kernel:
-    """The kernel whose assembled summands are ``grams``.  It takes the
-    arrays over and marks them read-only; the caller must not write to them
-    afterwards."""
-    K = object.__new__(Kernel)
-    K._store(index_set, desc, grams)
-    return K
-
-
-def _kernel_from_entries(index_set: IndexSet, desc: AlgebraDescriptor, entries) -> Kernel:
-    """The kernel with the blocks ``blocks`` at ``(i, j)`` for every ``(i, j,
-    blocks)`` of ``entries``, each written straight into its slot of the
-    arrays; every entry must be given."""
-    n = index_set.n
-    grams = [np.empty((n * d, n * d), dtype=np.complex128) for d in desc.summand_dims]
-    stacks = [_stack(G, n) for G in grams]
-    for i, j, blocks in entries:
-        for S, b in zip(stacks, blocks):
-            S[i, j] = b
-    return _kernel_of(index_set, desc, grams)
 
 
 def _owned(G: np.ndarray) -> np.ndarray:
@@ -271,20 +275,27 @@ def _assembled(S: np.ndarray) -> np.ndarray:
     return G
 
 
-def scalar_kernel(matrix, labels=None) -> Kernel:
-    """Kernel over the one-dimensional algebra from a plain ``n x n`` array."""
+def _scalar(cls, matrix, labels):
+    """The table of class ``cls`` over the one-dimensional algebra from a
+    plain ``n x n`` array, labeled ``s1, s2, ...`` by default."""
     mat = np.array(matrix, dtype=np.complex128)
     n = mat.shape[0]
     if mat.shape != (n, n):
-        raise DimensionMismatch("scalar kernel needs a square matrix")
+        raise DimensionMismatch(f"scalar {cls._noun} needs a square matrix")
     if labels is None:
         labels = [f"s{i + 1}" for i in range(n)]
-    return _kernel_of(IndexSet(labels), AlgebraDescriptor([1]), [mat])
+    desc = AlgebraDescriptor([1])
+    return cls(IndexSet(labels), desc, [[AlgebraElement(desc, [[[x]]]) for x in row] for row in mat])
+
+
+def scalar_kernel(matrix, labels=None) -> Kernel:
+    """Kernel over the one-dimensional algebra from a plain ``n x n`` array."""
+    return _scalar(Kernel, matrix, labels)
 
 
 def kernel_norm(K: Kernel) -> float:
     """Largest entry C*-norm; the scale used by relative tolerances."""
-    return _max_norm(K._grams, K.n)
+    return _max_norm(K._stacks)
 
 
 def _stack(G: np.ndarray, n: int) -> np.ndarray:
@@ -293,8 +304,10 @@ def _stack(G: np.ndarray, n: int) -> np.ndarray:
     return G.reshape(n, d, n, d).swapaxes(1, 2)
 
 
-def _max_norm(grams: list[np.ndarray], n: int) -> float:
-    return max(float(np.linalg.norm(_stack(G, n), 2, axis=(-2, -1)).max()) for G in grams)
+def _max_norm(stacks) -> float:
+    """Largest C*-norm of an entry of a table given as one ``(n, n, d, d)``
+    stack per summand; an infinite or NaN entry raises ``NonFinite``."""
+    return max(float(spectral_norms(S).max()) for S in stacks)
 
 
 def _hermitian(grams: list[np.ndarray], n: int, tol: ToleranceConfig) -> bool:
@@ -309,7 +322,7 @@ def _hermitian(grams: list[np.ndarray], n: int, tol: ToleranceConfig) -> bool:
     floor = max(1.0, *(float(np.abs(G).max()) for G in grams))
     if all(np.linalg.norm(D, axis=(-2, -1)).max() <= 0.5 * tol.tol_rel * floor for D in diffs):
         return True
-    scale = max(1.0, _max_norm(grams, n))
+    scale = max(1.0, _max_norm([_stack(G, n) for G in grams]))
     return all(np.linalg.norm(D, 2, axis=(-2, -1)).max() <= tol.tol_rel * scale for D in diffs)
 
 
@@ -424,7 +437,7 @@ def shift_transform(K: Kernel, s0: str, tol: ToleranceConfig = DEFAULT_TOL) -> K
     with np.errstate(over="ignore", invalid="ignore"):  # caught by _require_finite
         for G in grams:
             G *= 0.5
-    return _kernel_of(K.index_set, K.descriptor, _require_finite(grams))
+    return Kernel._of(K.index_set, K.descriptor, _require_finite(grams))
 
 
 def recover_affine_part(K: Kernel, s0: str) -> dict[str, AlgebraElement]:
@@ -434,10 +447,9 @@ def recover_affine_part(K: Kernel, s0: str) -> dict[str, AlgebraElement]:
     ``h(s) + h(t)*``.
     """
     i0 = K.index_set.index(s0)
-    stacks = [_stack(G, K.n) for G in K._grams]
-    half_base = [0.5 * S[i0, i0] for S in stacks]
+    half_base = [0.5 * S[i0, i0] for S in K._stacks]
     return {
-        s: AlgebraElement(K.descriptor, [S[i, i0] - h for S, h in zip(stacks, half_base)])
+        s: AlgebraElement(K.descriptor, [S[i, i0] - h for S, h in zip(K._stacks, half_base)])
         for i, s in enumerate(K.index_set.labels)
     }
 
@@ -474,10 +486,8 @@ def schur_product(K1: Kernel, K2: Kernel) -> Kernel:
     or the entries commute, so the table may come out raw.
     """
     K1._check_compatible(K2)
-    n = K1.n
-    return _kernel_of(K1.index_set, K1.descriptor, [
-        _assembled(np.matmul(_stack(A, n), _stack(B, n)))
-        for A, B in zip(K1._grams, K2._grams)
+    return Kernel._of(K1.index_set, K1.descriptor, [
+        _assembled(np.matmul(A, B)) for A, B in zip(K1._stacks, K2._stacks)
     ])
 
 
@@ -505,7 +515,7 @@ def cauchy_schwarz_cpd_check(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> V
     """Necessary inequality for conditional positivity:
     ``2 Re K(s,t) <= K(s,s) + K(t,t)`` for every ordered pair."""
     diffs = []
-    for S in (_stack(G, K.n) for G in K._grams):
+    for S in K._stacks:
         D = S[range(K.n), range(K.n)]
         with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
             diffs.append((D[:, None] + D[None, :]) - 2.0 * _hermitian_part(S))
@@ -515,7 +525,7 @@ def cauchy_schwarz_cpd_check(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> V
 def cauchy_schwarz_pd_check(L: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:
     """Necessary inequality for positive definiteness:
     ``L(s,t) L(t,s) <= ||L(t,t)|| L(s,s)`` for every ordered pair."""
-    stacks = [_stack(G, L.n) for G in L._grams]
+    stacks = L._stacks
     diag = [S[range(L.n), range(L.n)] for S in stacks]
     norms = np.max([spectral_norms(D) for D in diag], axis=0)[None, :, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms

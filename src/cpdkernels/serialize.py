@@ -32,8 +32,8 @@ from .algebra import (
     ToleranceConfig,
 )
 from .decomposition import CPDDecomposition, Factorization, MajorizationCertificate
-from .embedding import CStarMetric, EmbeddingResult, _metric_of
-from .kernels import IndexSet, Kernel, Verdict, Witness, _assembled, _kernel_of, _stack
+from .embedding import CStarMetric, EmbeddingResult
+from .kernels import IndexSet, Kernel, Verdict, Witness, _assembled
 
 __all__ = [
     "SchemaError",
@@ -175,22 +175,22 @@ def module_element_to_json(x: ModuleElement) -> dict:
     return {"ranks": list(x.ranks), "blocks": [_block_to_json(b) for b in x.blocks]}
 
 
-def _table_to_json(index_set: IndexSet, desc: AlgebraDescriptor, key: str, stacks) -> dict:
+def _table_to_json(T, key: str) -> dict:
     # One nested list of [re, im] pairs per summand, indexed [i][j][row][col].
-    pairs, n = [_block_to_json(S) for S in stacks], index_set.n
+    pairs, n = [_block_to_json(S) for S in T._stacks], T.n
     return {
-        "algebra": {"summands": list(desc.summand_dims)},
-        "set": list(index_set.labels),
+        "algebra": {"summands": list(T.descriptor.summand_dims)},
+        "set": list(T.index_set.labels),
         key: [[[P[i][j] for P in pairs] for j in range(n)] for i in range(n)],
     }
 
 
 def kernel_to_json(K: Kernel) -> dict:
-    return _table_to_json(K.index_set, K.descriptor, "values", [_stack(G, K.n) for G in K._grams])
+    return _table_to_json(K, "values")
 
 
 def metric_to_json(dm: CStarMetric) -> dict:
-    return _table_to_json(dm.index_set, dm.descriptor, "metric", dm._stacks)
+    return _table_to_json(dm, "metric")
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -309,7 +309,6 @@ def _float_stacks(node, desc: AlgebraDescriptor, n: int):
             return None
         if not np.isfinite(a).all():
             return None
-        a.setflags(write=False)  # so that a metric's entries may be views of it
         stacks.append(a.view(np.complex128).reshape(n, n, d, d))
     return stacks
 
@@ -345,16 +344,18 @@ def _parse_stacks(node, desc: AlgebraDescriptor, n: int, path: str) -> list[np.n
     return stacks
 
 
-def kernel_from_json(doc, path: str = "$") -> Kernel:
+def _table_from_json(cls, key: str, doc, path: str):
     desc, index_set = _parse_header(doc, path)
-    stacks = _parse_stacks(_get(doc, "values", path), desc, index_set.n, f"{path}.values")
-    return _kernel_of(index_set, desc, [_assembled(S) for S in stacks])
+    stacks = _parse_stacks(_get(doc, key, path), desc, index_set.n, f"{path}.{key}")
+    return cls._of(index_set, desc, [_assembled(S) for S in stacks])
+
+
+def kernel_from_json(doc, path: str = "$") -> Kernel:
+    return _table_from_json(Kernel, "values", doc, path)
 
 
 def metric_from_json(doc, path: str = "$") -> CStarMetric:
-    desc, index_set = _parse_header(doc, path)
-    stacks = _parse_stacks(_get(doc, "metric", path), desc, index_set.n, f"{path}.metric")
-    return _metric_of(index_set, desc, stacks)
+    return _table_from_json(CStarMetric, "metric", doc, path)
 
 
 def load_document(text: str):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+import cpdkernels.generators as gen
 from cpdkernels import (
     DEFAULT_TOL,
     AlgebraDescriptor,
@@ -16,9 +17,14 @@ from cpdkernels import (
     CStarMetric,
     IndexSet,
     Kernel,
+    ModuleElement,
     Verdict,
     Witness,
     adjoint,
+    assemble_gram,
+    compressed_gram,
+    distance_matrix_from_points,
+    kernel_norm,
     module_inner,
     op_norm,
     re_part,
@@ -107,6 +113,15 @@ def same_bits(K, table) -> bool:
         for v, w in zip(row, ref_row, strict=True)
         for a, b in zip(v.blocks, w.blocks, strict=True)
     )
+
+
+def raw_scalar_kernel(matrix) -> Kernel:
+    """A scalar kernel on ``s1, s2, ...`` built through the internal path that
+    takes arrays over, which, unlike the public constructors, accepts
+    infinite and NaN values: decisions must still fail closed on them."""
+    mat = np.array(matrix, dtype=np.complex128)
+    labels = [f"s{i + 1}" for i in range(mat.shape[0])]
+    return Kernel._of(IndexSet(labels), AlgebraDescriptor([1]), [mat])
 
 
 def difference_basis(n: int, d: int) -> np.ndarray:
@@ -400,3 +415,119 @@ def load_bench_module(name: str):
     finally:
         sys.dont_write_bytecode = keep
     return module
+
+
+# The seeded generators as they were written one entry at a time: the same
+# per-call draws and per-entry formulas.  The array generators must build the
+# same tables bit for bit.
+
+
+def _reference_rng(cfg, *key):
+    return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=key))
+
+
+def _reference_complex_matrix(rng, rows, cols, magnitude):
+    re = rng.standard_normal((rows, cols))
+    im = rng.standard_normal((rows, cols))
+    return magnitude / np.sqrt(2.0) * (re + 1j * im)
+
+
+def _reference_blocks(rng, desc, magnitude):
+    return [_reference_complex_matrix(rng, d, d, magnitude) for d in desc.summand_dims]
+
+
+def _reference_kernel(cfg, entry) -> Kernel:
+    """The kernel whose entry ``(i, j)`` has the blocks ``entry(i, j)``."""
+    desc, n = cfg.descriptor, cfg.n
+    return Kernel(IndexSet([f"s{i + 1}" for i in range(n)]), desc, [
+        [AlgebraElement(desc, entry(i, j)) for j in range(n)] for i in range(n)])
+
+
+def reference_random_gram_kernel(cfg) -> Kernel:
+    rng = _reference_rng(cfg, gen._GRAM)
+    g = [_reference_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
+    return _reference_kernel(cfg, lambda i, j: [a.conj().T @ b for a, b in zip(g[i], g[j])])
+
+
+def reference_random_cpd_kernel(cfg, diagonal_zero=False) -> Kernel:
+    if diagonal_zero:
+        rng = _reference_rng(cfg, gen._CPD_DIAG)
+        q = cfg.rank if cfg.rank is not None else 2
+        dims = cfg.descriptor.summand_dims
+        frames = [np.linalg.qr(_reference_complex_matrix(rng, d, d, 1.0))[0] for d in dims]
+        fams = [[[p.conj().T @ np.diag(cfg.magnitude * rng.standard_normal(d)) @ p
+                  for d, p in zip(dims, frames)] for _ in range(cfg.n)] for _ in range(q)]
+
+        def entry(i, j):
+            blocks = []
+            for k, d in enumerate(dims):
+                acc = np.zeros((d, d), dtype=np.complex128)
+                for fam in fams:
+                    delta = fam[i][k] - fam[j][k]
+                    acc = acc - delta.conj().T @ delta
+                blocks.append(acc)
+            return blocks
+
+        return _reference_kernel(cfg, entry)
+    rng = _reference_rng(cfg, gen._CPD_MIX)
+    alpha = 0.5 + rng.uniform()
+    g = [_reference_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
+    c = [_reference_blocks(rng, cfg.descriptor, cfg.magnitude) for _ in range(cfg.n)]
+    return _reference_kernel(cfg, lambda i, j: [
+        alpha * (gi.conj().T @ gj) + ci + cj.conj().T
+        for gi, gj, ci, cj in zip(g[i], g[j], c[i], c[j])])
+
+
+def reference_random_hermitian_kernel(cfg, detail=0) -> Kernel:
+    rng = _reference_rng(cfg, gen._HERMITIAN, detail)
+    table = {}
+    for i in range(cfg.n):
+        for j in range(i, cfg.n):
+            x = _reference_blocks(rng, cfg.descriptor, cfg.magnitude)
+            if i == j:
+                table[i, i] = [0.5 * (b + b.conj().T) for b in x]
+            else:
+                table[i, j], table[j, i] = x, [b.conj().T for b in x]
+    return _reference_kernel(cfg, lambda i, j: table[i, j])
+
+
+def reference_random_non_cpd_kernel(cfg) -> Kernel:
+    H = reference_random_hermitian_kernel(cfg, 0)
+    c = gen.NON_CPD_MARGIN
+    M = max(1.0, kernel_norm(H))
+    eigs = [np.linalg.eigh(0.5 * (C + C.conj().T)) for C in compressed_gram(H)]
+    mu = max(0.0, (max(w[0] for w, _ in eigs) + c * M) / (1.0 - c))
+    if mu == 0.0:
+        return H
+    n = cfg.n
+    grams = assemble_gram(H)
+    for k, (d, (w, u)) in enumerate(zip(cfg.descriptor.summand_dims, eigs)):
+        mu_k = w[0] + c * (M + mu)
+        if mu_k <= 0.0:
+            continue
+        tail = u[:, 0].reshape(n - 1, d)
+        x = np.concatenate([tail, -tail.sum(axis=0, keepdims=True)]).ravel()
+        x /= np.linalg.norm(x)
+        grams[k] = grams[k] - mu_k * np.outer(x, x.conj())
+    return Kernel._of(H.index_set, cfg.descriptor, grams)
+
+
+def reference_random_metric(cfg) -> CStarMetric:
+    dims = cfg.descriptor.summand_dims
+    frame_rng = _reference_rng(cfg, gen._METRIC_FRAME)
+    frames = [np.linalg.qr(_reference_complex_matrix(frame_rng, d, d, 1.0))[0] for d in dims]
+    for attempt in range(gen._MAX_ATTEMPTS):
+        rng = _reference_rng(cfg, gen._METRIC_CORES, attempt)
+        cores = [[cfg.magnitude / np.sqrt(2.0)
+                  * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) for d in dims]
+                 for _ in range(cfg.n)]
+        separated = all(
+            max(np.max(np.abs(zi - zj)) for zi, zj in zip(cores[i], cores[j]))
+            > 1e-6 * cfg.magnitude
+            for i in range(cfg.n) for j in range(i + 1, cfg.n))
+        if separated:
+            return distance_matrix_from_points({
+                f"s{i + 1}": ModuleElement(cfg.descriptor, dims,
+                                           [np.diag(z) @ p for z, p in zip(cores[i], frames)])
+                for i in range(cfg.n)})
+    raise RuntimeError("rejection sampling failed to separate the points")

@@ -8,11 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cpdkernels
 from cpdkernels import (
     AlgebraDescriptor,
+    AlgebraElement,
     GenConfig,
     dump_json,
     fixture,
@@ -22,11 +24,12 @@ from cpdkernels import (
     metric_to_json,
     random_hermitian_kernel,
     random_majorized_pair,
+    random_metric,
     scalar_kernel,
     scalar_metric,
 )
 from cpdkernels.cli import main
-from helpers import overflow_metric
+from helpers import overflow_metric, same_bits
 
 
 def run(capsys, *argv):
@@ -279,9 +282,43 @@ class TestInputHandling:
         assert "$.set" in err
 
     def test_metric_command_rejects_kernel_document(self, capsys, cpd_path):
-        code, _, err = run(capsys, "check-metric", cpd_path)
-        assert code == 2
-        assert "metric" in err
+        for command in ("check-metric", "embed"):
+            code, out, err = run(capsys, command, cpd_path)
+            assert code == 2 and out == ""
+            assert "expected a metric document (key 'metric')" in err
+
+    @pytest.mark.parametrize("argv", [["check-pd"], ["check-cpd"], ["decompose"],
+                                      ["majorize", "{metric}"]])
+    def test_kernel_command_rejects_metric_document(self, capsys, tmp_path, argv):
+        path = write_metric(tmp_path, fixture("collinear-3"))
+        code, out, err = run(capsys, argv[0], path, *(a.format(metric=path) for a in argv[1:]))
+        assert code == 2 and out == ""
+        assert "expected a kernel document (key 'values')" in err
+
+    def test_metric_commands_build_no_elements(self, capsys, tmp_path, monkeypatch):
+        dm = random_metric(GenConfig(seed=1, n=10, descriptor=AlgebraDescriptor([2, 1])))
+        path = write_metric(tmp_path, dm)
+        built = []
+        init = AlgebraElement.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AlgebraElement, "__init__", counted_init)
+        for argv in (["check-metric", path], ["embed", path, "--verify"]):
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+        assert built == []
+        monkeypatch.undo()
+        # The table of elements is still there, built on first use over
+        # read-only views of the stored arrays.
+        loaded = load_document(Path(path).read_text(encoding="utf-8"))
+        assert same_bits(loaded, dm.values)
+        for row in loaded.values:
+            for v in row:
+                for block, G in zip(v.blocks, loaded._grams):
+                    assert not block.flags.writeable and np.shares_memory(block, G)
 
     def test_unknown_base_point(self, capsys, cpd_path):
         code, _, err = run(capsys, "check-cpd", cpd_path, "--base-point", "zz")

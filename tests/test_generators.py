@@ -34,6 +34,14 @@ from cpdkernels import (
     validate_metric,
 )
 from cpdkernels.generators import NON_CPD_MARGIN
+from helpers import (
+    reference_random_cpd_kernel,
+    reference_random_gram_kernel,
+    reference_random_hermitian_kernel,
+    reference_random_metric,
+    reference_random_non_cpd_kernel,
+    same_bits,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 descriptors = st.sampled_from(
@@ -225,3 +233,30 @@ class TestFixtures:
     def test_unknown_fixture(self):
         with pytest.raises(ValueError, match="unknown fixture"):
             fixture("no-such-instance")
+
+
+class TestArrayConstruction:
+    """The generators build their tables by per-summand array broadcasts
+    from the same seeded streams as the per-entry construction in
+    ``helpers``, and must produce the same tables bit for bit."""
+
+    PAIRS = {
+        "gram": (random_gram_kernel, reference_random_gram_kernel),
+        "cpd": (random_cpd_kernel, reference_random_cpd_kernel),
+        "cpd-diag": (lambda cfg: random_cpd_kernel(cfg, diagonal_zero=True),
+                     lambda cfg: reference_random_cpd_kernel(cfg, diagonal_zero=True)),
+        "hermitian": (random_hermitian_kernel, reference_random_hermitian_kernel),
+        "non-cpd": (random_non_cpd_kernel, reference_random_non_cpd_kernel),
+        "metric": (random_metric, reference_random_metric),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    @pytest.mark.parametrize("seed", [1, 9001])
+    @pytest.mark.parametrize("dims", [[1], [2, 1], [8, 8]])
+    def test_tables_equal_the_per_entry_construction(self, dims, seed, n):
+        cfg = cfg_for(seed, AlgebraDescriptor(dims), n)
+        for name, (build, reference) in self.PAIRS.items():
+            got, want = build(cfg), reference(cfg)
+            assert type(got) is type(want), name
+            assert (got.index_set, got.descriptor) == (want.index_set, want.descriptor), name
+            assert same_bits(got, want.values), name

@@ -14,6 +14,7 @@ from cpdkernels import (
     DEFAULT_TOL,
     AlgebraDescriptor,
     AlgebraElement,
+    CStarMetric,
     GenConfig,
     IndexSet,
     Kernel,
@@ -41,18 +42,19 @@ from cpdkernels import (
     random_non_cpd_kernel,
     recover_affine_part,
     scalar_kernel,
+    scalar_metric,
     schur_product,
     shift_transform,
     two_by_two_check,
 )
 from cpdkernels.algebra import _BAND, _cholesky_passes
-from cpdkernels.kernels import _kernel_of
 from helpers import (
     KERNEL_DESCRIPTORS,
     block_kernel,
     difference_basis,
     eigh_verdict,
     load_bench_module,
+    raw_scalar_kernel,
     reference_cauchy_schwarz_cpd,
     reference_cauchy_schwarz_pd,
     reference_entrywise,
@@ -433,7 +435,7 @@ class TestCauchySchwarzChecks:
     @pytest.mark.parametrize("check", [cauchy_schwarz_cpd_check, cauchy_schwarz_pd_check])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.7e308])
     def test_non_finite_or_overflowing_tables_raise(self, check, bad):
-        K = scalar_kernel([[1e308, bad], [bad, 1e308]])
+        K = raw_scalar_kernel([[1e308, bad], [bad, 1e308]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NonFinite):
@@ -485,7 +487,7 @@ class TestArrayHermiticity:
         grams = [G.copy() for G in assemble_gram(K)]
         for d, G in zip(K.descriptor.summand_dims, grams):
             G[0:d, d : 2 * d] += factor * DEFAULT_TOL.tol_rel * scale * block(d)
-        return _kernel_of(K.index_set, K.descriptor, grams)
+        return Kernel._of(K.index_set, K.descriptor, grams)
 
     @pytest.mark.parametrize("factor", [0.5, -0.5, 2.0, -2.0])
     @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
@@ -610,7 +612,7 @@ class TestCholeskyPassTest:
             y = np.zeros(G.shape[0], dtype=np.complex128)
             y[: C.shape[0]] = u[:, 0]
             G -= (w[0] - margin * DEFAULT_TOL.tol_rel * scale) * np.outer(y, y.conj())
-        return _kernel_of(K.index_set, K.descriptor, grams)
+        return Kernel._of(K.index_set, K.descriptor, grams)
 
     @staticmethod
     def _same(got, mats):
@@ -796,6 +798,19 @@ class TestFailClosed:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_raise(self, bad):
-        K = scalar_kernel([[1.0, bad], [bad, 1.0]])
+        K = raw_scalar_kernel([[1.0, bad], [bad, 1.0]])
         self._raises_without_warning(K.is_hermitian)
         self._raises_without_warning(lambda: is_conditionally_positive_definite(K))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_constructors_reject_non_finite_entries(self, bad):
+        for build in (scalar_kernel, scalar_metric):
+            with pytest.raises(NonFinite):
+                build([[0.0, bad], [1.0, 0.0]])
+        desc = AlgebraDescriptor([1, 2])
+        table = [[AlgebraElement(desc, [np.zeros((1, 1)), np.zeros((2, 2))]) for _ in range(2)]
+                 for _ in range(2)]
+        table[1][0] = AlgebraElement(desc, [np.zeros((1, 1)), np.array([[0.0, 0.0], [bad, 0.0]])])
+        for cls in (Kernel, CStarMetric):
+            with pytest.raises(NonFinite):
+                cls(IndexSet(["a", "b"]), desc, table)
