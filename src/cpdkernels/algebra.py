@@ -9,10 +9,11 @@ elements of the column Hilbert C*-module, with the algebra-valued inner product
 Positivity is decided by hermitian eigendecomposition with a relative
 tolerance: an element passes if it is hermitian within ``tol_rel`` and every
 block satisfies ``lambda_min >= -tol_rel * max(1, ||block||)``.  For the
-kernel tests, ``psd_defect`` first tries Cholesky on the matrix shifted by
-``tol_rel / 2 * max(1, max |diagonal|)``; by its backward error (Higham,
-2002, ch. 10) success proves a pass.  Otherwise ``eigvalsh`` decides and
-inverse iteration gives the witness, or ``eigh`` near the threshold.
+kernel tests, ``worst_psd_defect`` tries Cholesky on each summand shifted by
+``tol_rel / 2 * max(1, max |diagonal|)`` (unless a diagonal entry is below
+minus the shift); by its backward error (Higham, 2002, ch. 10) success
+proves a pass.  Else ``eigvalsh`` decides, or ``eigh`` near the threshold; a
+margin of -1 ends the pass, and only the reported summand gets a witness.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "adjoint",
     "is_positive",
     "psd_defect",
+    "worst_psd_defect",
     "psd_margins",
     "hermitian_defects",
     "spectral_norms",
@@ -321,8 +323,10 @@ def _cholesky_passes(H: np.ndarray, tol: ToleranceConfig) -> bool:
     if g * N * (1 + c * tol.tol_rel) / (1 - g) + 2 * N * u > (1 - c) * tol.tol_rel:
         return False
     s_lo = max(1.0, float(np.abs(np.diagonal(H)).max()))
+    if np.diagonal(H).real.min() + (shift := c * tol.tol_rel * s_lo) <= 0:
+        return False  # a pivot is at most its diagonal entry: it would fail
     try:
-        np.linalg.cholesky(_shift_diagonal(H, c * tol.tol_rel * s_lo))
+        np.linalg.cholesky(_shift_diagonal(H, shift))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -340,31 +344,30 @@ _BAND = 64 * np.finfo(np.float64).eps
 
 
 def _eigh_defect(h: np.ndarray):
-    """``psd_defect``'s margin, eigenvalue and vector by a full ``eigh``."""
+    """``_psd_margin``'s margin, eigenvalue and vector by a full ``eigh``."""
     w, u = np.linalg.eigh(h)
     margin = _require_finite([w])[0][0] / max(1.0, float(np.max(np.abs(w))))
-    return margin, float(w[0]), u[:, 0].copy()
+    return margin, float(w[0]), u[:, 0].copy(), None
 
 
-def psd_defect(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
-    """How a hermitian matrix fails ``lambda_min >= -tol_rel * max(1, max
-    |lambda|)``: ``None`` when it passes, else its relative margin, bottom
-    eigenvalue and a unit ``v`` with ``||h v - lambda v|| <= 64 N eps s``,
-    ``s = max(1, max |lambda|)``.  ``eigh`` answers within ``_BAND N`` of the
-    threshold, where the iteration fails and where it might not give a margin
-    of exactly -1: verdicts and margins of -1 are ``eigh``'s.  Non-finite
-    values raise ``NonFinite``."""
-    if _cholesky_passes(_require_finite([h])[0], tol):
+def _psd_margin(h: np.ndarray, tol: ToleranceConfig):
+    """``None`` when finite hermitian ``h`` passes, else ``(margin, lambda, v,
+    s)``: ``eigh``'s ``v`` and no ``s``, or no ``v`` and ``_witness``'s scale."""
+    if _cholesky_passes(h, tol):
         return None
     w = _require_finite([np.linalg.eigvalsh(h)])[0]
     N, s = h.shape[0], max(1.0, float(np.max(np.abs(w))))
-    margin, lam, bound = w[0] / s, float(w[0]), _BAND * N * s
+    margin, lam = w[0] / s, float(w[0])
     if abs(margin + tol.tol_rel) <= _BAND * N or (
-            margin == -1.0 and -lam - max(1.0, w[-1]) <= bound):
+            margin == -1.0 and -lam - max(1.0, w[-1]) <= _BAND * N * s):
         found = _eigh_defect(h)
         return found if found[0] < -tol.tol_rel else None
-    if margin >= -tol.tol_rel:
-        return None
+    return (margin, lam, None, s) if margin < -tol.tol_rel else None
+
+
+def _witness(h: np.ndarray, lam: float, s: float):
+    """Unit ``v``, ``||h v - lam v|| <= 64 N eps s``, by inverse iteration, or ``None``."""
+    N, bound = h.shape[0], _BAND * h.shape[0] * s
     A = _shift_diagonal(h, bound / 16 - lam)  # h - sigma I, sigma = lambda - 4 N eps s
     try:
         with np.errstate(all="ignore"):  # a breakdown fails the residual test
@@ -374,7 +377,45 @@ def psd_defect(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
             converged = np.linalg.norm(h @ v - lam * v) <= bound
     except np.linalg.LinAlgError:
         converged = False
-    return (margin, lam, v) if converged else _eigh_defect(h)
+    return v if converged else None
+
+
+def worst_psd_defect(mats, tol: ToleranceConfig = DEFAULT_TOL, part=lambda M: M):
+    """The first summand at the lowest margin where hermitian ``h = part(M)``
+    (``M`` by default) fails ``lambda_min >= -tol_rel s``, ``s = max(1, max
+    |lambda|)``, its margin, eigenvalue and unit ``v``, ``||h v - lambda v||
+    <= 64 N eps s``; ``None`` if none fails.  ``eigh`` decides on the band,
+    ranks near-ties and backs the witness, so verdicts are its own.  A -1,
+    the lowest margin, ends the pass; non-finite values raise ``NonFinite``."""
+    defects = []
+    for k, M in enumerate(mats):
+        if (found := _psd_margin(_require_finite([part(M)])[0], tol)) is not None:
+            defects.append((found, k))
+            if found[0] == -1.0:
+                for rest in mats[k + 1:]:  # fail closed: an eigenvalue may
+                    with np.errstate(over="ignore"):  # overflow where the norm does
+                        norm = np.linalg.norm(_require_finite([part(rest)])[0])
+                    if not np.isfinite(norm):
+                        _psd_margin(part(rest), tol)
+                break
+    if not defects:
+        return None
+    cut = min(f[0] for f, _ in defects) + 2 * _BAND * max(M.shape[0] for M in mats)
+    ties = [(f, k) for f, k in defects if f[0] <= cut]
+    if len(ties) > 1:
+        ties = [(f if f[0] == -1.0 else _eigh_defect(part(mats[k])), k) for f, k in ties]
+    (margin, lam, v, s), k = min(ties, key=lambda fk: fk[0][0])
+    if v is None:
+        h = part(mats[k])
+        if (v := _witness(h, lam, s)) is None:
+            margin, lam, v, _ = _eigh_defect(h)
+    return k, margin, lam, v
+
+
+def psd_defect(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """``worst_psd_defect``'s margin, eigenvalue and vector of the one ``h``, or ``None``."""
+    found = worst_psd_defect([h], tol)
+    return None if found is None else found[1:]
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:

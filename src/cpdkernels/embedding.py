@@ -189,10 +189,13 @@ def is_embeddable(
     InvalidMetric
         If the table is not a metric in the first place.
     """
+    return _embeddability(dm, tol, threads)[0]
+
+
+def _embeddability(dm: CStarMetric, tol: ToleranceConfig, threads: int = 1):
+    """``is_embeddable``'s verdict and the kernel ``-d^2`` it decides."""
     K = metric_to_kernel(dm, tol)
-    if dm.n < 2:
-        return Verdict(True)
-    return is_conditionally_positive_definite(K, tol, threads)
+    return Verdict(True) if dm.n < 2 else is_conditionally_positive_definite(K, tol, threads), K
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,10 +245,9 @@ def embed(
     PreconditionFailure
         If the metric is not embeddable; carries the compressed-space witness.
     """
-    verdict = is_embeddable(dm, tol)
+    verdict, K = _embeddability(dm, tol)
     if not verdict.holds:
         raise PreconditionFailure("metric is not embeddable", verdict)
-    K = metric_to_kernel(dm, tol, validate=False)
     L = shift_transform(K, s0, tol)
     fact = factor_pd(L, tol, check=False)
     return EmbeddingResult(fact, s0)

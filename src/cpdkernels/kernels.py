@@ -39,15 +39,13 @@ from .algebra import (
     AlgebraElement,
     DimensionMismatch,
     ToleranceConfig,
-    _BAND,
-    _eigh_defect,
     _require_finite,
     adjoint,
     hermitian_defects,
     leq,
-    psd_defect,
     psd_margins,
     spectral_norms,
+    worst_psd_defect,
 )
 
 __all__ = [
@@ -369,29 +367,18 @@ def assemble_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndar
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    # An overflow here is caught by psd_defect, which raises NonFinite.
+    # An overflow here is caught by worst_psd_defect, which raises NonFinite.
     with np.errstate(over="ignore", invalid="ignore"):
         return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig) -> Verdict:
     """PSD test over a family of matrices, one per summand, on their hermitian
-    parts.  Fails on the summand with the most negative relative margin, the
-    first on a tie, reporting its ``psd_defect`` eigenvalue and vector.
-    Margins within ``2 _BAND N`` of the worst, but for those of exactly -1,
-    are taken from ``eigh``, so the summand is the one ``eigh`` would name."""
-    defects = [
-        (found, k) for k, M in enumerate(mats)
-        if (found := psd_defect(_hermitian_part(M), tol)) is not None
-    ]
-    if not defects:
+    parts: fails on ``worst_psd_defect``'s summand, with its eigenvalue and
+    vector."""
+    if (found := worst_psd_defect(mats, tol, _hermitian_part)) is None:
         return Verdict(True)
-    cut = min(f[0] for f, _ in defects) + 2 * _BAND * max(M.shape[0] for M in mats)
-    ties = [(f, k) for f, k in defects if f[0] <= cut]
-    if len(ties) > 1:
-        ties = [(f if f[0] == -1.0 else _eigh_defect(_hermitian_part(mats[k])), k)
-                for f, k in ties]
-    (_, lam, vec), k = min(ties, key=lambda fk: fk[0][0])
+    k, _, lam, vec = found
     return Verdict(False, Witness(k, lam, vec))
 
 

@@ -27,8 +27,10 @@ from cpdkernels import (
     kernel_norm,
     module_inner,
     op_norm,
+    psd_defect,
     re_part,
 )
+from cpdkernels.algebra import _BAND
 from cpdkernels.serialize import element_to_json
 
 
@@ -132,6 +134,32 @@ def difference_basis(n: int, d: int) -> np.ndarray:
         T[i * d : (i + 1) * d, i * d : (i + 1) * d] = np.eye(d)
         T[(n - 1) * d :, i * d : (i + 1) * d] = -np.eye(d)
     return T
+
+
+def _reference_eigh_defect(h):
+    w, u = np.linalg.eigh(h)
+    return w[0] / max(1.0, float(np.max(np.abs(w)))), float(w[0]), u[:, 0].copy()
+
+
+def reference_psd_verdict(mats, tol=DEFAULT_TOL) -> Verdict:
+    """The summand-by-summand PSD verdict: every summand's hermitian part
+    decided, and its witness built, by ``psd_defect``; then the worst margin,
+    the first on a tie, with margins within ``2 _BAND N`` of the worst (but
+    those of exactly -1) re-taken from ``eigh``."""
+    def part(M):
+        return 0.5 * (M + M.conj().swapaxes(-1, -2))
+
+    defects = [(found, k) for k, M in enumerate(mats)
+               if (found := psd_defect(part(M), tol)) is not None]
+    if not defects:
+        return Verdict(True)
+    cut = min(f[0] for f, _ in defects) + 2 * _BAND * max(M.shape[0] for M in mats)
+    ties = [(f, k) for f, k in defects if f[0] <= cut]
+    if len(ties) > 1:
+        ties = [(f if f[0] == -1.0 else _reference_eigh_defect(part(mats[k])), k)
+                for f, k in ties]
+    (_, lam, vec), k = min(ties, key=lambda fk: fk[0][0])
+    return Verdict(False, Witness(k, lam, vec))
 
 
 def eigh_verdict(mats, tol=DEFAULT_TOL) -> Verdict:
@@ -404,16 +432,27 @@ def reference_shape_failure(K, tol=DEFAULT_TOL, s0=None, name="K"):
     return None
 
 
-def load_bench_module(name: str):
-    """``perfbench/<name>.py``, loaded read-only (no bytecode is written)."""
+def load_bench_module(name: str, siblings=()):
+    """``perfbench/<name>.py``, loaded read-only (no bytecode is written).
+    ``siblings`` names the ``perfbench`` modules it imports.  They, and the
+    module itself (``dataclasses`` looks it up), are in ``sys.modules`` only
+    while it loads."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    added = {s: load_bench_module(s) for s in siblings} | {spec.name: module}
+    saved = {key: sys.modules.get(key) for key in added}
     keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules.update(added)
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = keep
+        for key, old in saved.items():
+            if old is None:
+                del sys.modules[key]
+            else:
+                sys.modules[key] = old
     return module
 
 

@@ -48,6 +48,7 @@ from cpdkernels import (
     two_by_two_check,
 )
 from cpdkernels.algebra import _BAND, _cholesky_passes
+from cpdkernels.kernels import _psd_verdict
 from helpers import (
     KERNEL_DESCRIPTORS,
     block_kernel,
@@ -61,6 +62,7 @@ from helpers import (
     reference_is_hermitian,
     reference_kernel_json,
     reference_kernel_norm,
+    reference_psd_verdict,
     reference_shift,
     reference_table,
     same_bits,
@@ -776,6 +778,93 @@ class TestInverseIterationWitness:
         self._witnesses_recheck(K, load_bench_module("check").Checker())
 
 
+class TestFamilyDecision:
+    """A family of summands is decided in one pass: the first margin of
+    exactly -1 ends it, only the reported summand gets an inverse-iteration
+    witness, and a Cholesky whose diagonal already fails is not run.  The
+    verdict is the summand-by-summand reference's, bit for bit."""
+
+    _counted = staticmethod(TestInverseIterationWitness._counted)
+
+    @pytest.mark.parametrize("margin", TestCholeskyPassTest.MARGINS)
+    def test_every_route_equals_the_reference(self, margin):
+        for i, dims in enumerate(KERNEL_DESCRIPTORS):
+            cfg = GenConfig(seed=200 + i, n=2 + i % 4, descriptor=AlgebraDescriptor(dims))
+            K = TestCholeskyPassTest._at_margin(random_cpd_kernel(cfg), margin)
+            for _, verdict, mats in TestInverseIterationWitness._routes(K):
+                assert same_verdict(verdict, reference_psd_verdict(mats))
+
+    @staticmethod
+    def _rotated(w, seed):
+        """A hermitian matrix with eigenvalues ``w`` in a seeded unitary basis."""
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((len(w), len(w))) + 1j * rng.standard_normal((len(w), len(w)))
+        Q = np.linalg.qr(Z)[0]
+        H = (Q * np.asarray(w)) @ Q.conj().T
+        return 0.5 * (H + H.conj().T)
+
+    # Margin exactly -1 with a clear gap; -0.5 and -0.25 fail; the last passes.
+    MINUS_ONE = (-3.0, 0.5, 1.0, 2.0)
+    OTHERS = ((-1.5, 0.5, 1.0, 3.0), (-0.25, 0.2, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0))
+
+    def test_ties_at_minus_one_at_every_position(self):
+        for p in range(3):
+            for q in range(p, 3):
+                mats = [self._rotated(self.MINUS_ONE if k in (p, q) else self.OTHERS[k], k)
+                        for k in range(3)]
+                verdict = _psd_verdict(mats, DEFAULT_TOL)
+                assert verdict.witness.summand == p
+                assert same_verdict(verdict, reference_psd_verdict(mats))
+
+    def _near_minus_one(self, eigh_at_minus_one):
+        """A matrix whose ``eigvalsh`` margin lies a few ulps inside -1 and
+        whose ``eigh`` margin is exactly -1, or also inside it."""
+        N = len(self.MINUS_ONE)
+        for seed in range(1000):
+            near = self._rotated((-3.0, 0.5, 1.0, 3.0), seed)
+            w, e = np.linalg.eigvalsh(near), np.linalg.eigh(near)[0]
+            by_eigh = e[0] / np.abs(e).max()
+            if -1.0 < w[0] / np.abs(w).max() <= -1.0 + _BAND * N and (
+                    by_eigh == -1.0 if eigh_at_minus_one else -1.0 < by_eigh <= -1.0 + _BAND * N):
+                return near
+        pytest.fail("no near-tie at -1 among the seeds")
+
+    @pytest.mark.parametrize("eigh_at_minus_one", [True, False])
+    def test_near_ties_at_minus_one_are_ranked_by_eigh(self, eigh_at_minus_one):
+        # Where eigh puts the earlier near-tie at -1 it is reported, else the
+        # clear -1, keeping its inverse-iteration witness.
+        near, clear = self._near_minus_one(eigh_at_minus_one), self._rotated(self.MINUS_ONE, 0)
+        for mats, first in (([near, clear], 0 if eigh_at_minus_one else 1), ([clear, near], 0),
+                            ([near, self._rotated(self.OTHERS[1], 1), clear],
+                             0 if eigh_at_minus_one else 2)):
+            verdict = _psd_verdict(mats, DEFAULT_TOL)
+            assert verdict.witness.summand == first
+            assert same_verdict(verdict, reference_psd_verdict(mats))
+
+    def test_the_benchmark_shift_decision_stops_at_minus_one(self, monkeypatch, tmp_path):
+        workloads = load_bench_module("workloads", ("check", "spans"))
+        spec = workloads.SPECS["decide"]
+        ops = spec.build(spec, 1, tmp_path, workloads.Checker())
+        op = next(op for op in ops if op.kind == "coarse-shift" and op.check.args[2] is False)
+        calls = {name: self._counted(monkeypatch, name)
+                 for name in ("eigvalsh", "solve", "cholesky", "eigh")}
+        verdict = op.run()
+        monkeypatch.undo()
+        # Both summands sit at -1: one eigvalsh, one witness, no Cholesky.
+        assert {name: len(c) for name, c in calls.items()} == {
+            "eigvalsh": 1, "solve": 2, "cholesky": 0, "eigh": 0}
+        assert op.check(verdict) is None
+
+    def test_only_the_reported_summand_gets_a_witness(self, monkeypatch):
+        mats = [self._rotated(self.OTHERS[0], 0), self._rotated(self.OTHERS[1], 1)]
+        solves = self._counted(monkeypatch, "solve")
+        verdict = _psd_verdict(mats, DEFAULT_TOL)
+        monkeypatch.undo()
+        assert verdict.witness.summand == 0
+        assert len(solves) == 2
+        assert same_verdict(verdict, reference_psd_verdict(mats))
+
+
 class TestFailClosed:
     @staticmethod
     def _raises_without_warning(decide):
@@ -795,6 +884,29 @@ class TestFailClosed:
                 lambda: cond_positive_matrix_check(K, 1),
             ):
                 self._raises_without_warning(decide)
+
+    def test_an_overflow_after_a_margin_of_minus_one_raises(self):
+        # Summand 0 fails at -1 on every route, so no later summand can be
+        # reported; summand 1 must still raise.  At b = -1e308 its
+        # compression and shifted tables overflow; at -5e307 the hermitian
+        # parts of its compression and corm matrix do (its halved shift is
+        # finite throughout).
+        for b in (-1e308, -5e307):
+            K = Kernel._of(IndexSet(["s1", "s2"]), AlgebraDescriptor([1, 1]),
+                           [np.diag([-3.0, -3.0]).astype(complex),
+                            np.array([[0.0, b], [b, 0.0]], dtype=complex)])
+            decisions = [lambda: is_conditionally_positive_definite(K),
+                         lambda: cond_positive_matrix_check(K, 1)]
+            if b == -1e308:
+                decisions.append(lambda: is_positive_definite(shift_transform(K, "s1")))
+            for decide in decisions:
+                self._raises_without_warning(decide)
+        # Finite hermitian parts whose norm overflows: the bottom eigenvalue
+        # of the second summand is -2.4e308, which only an eigensolver finds.
+        K = Kernel._of(IndexSet(["s1", "s2", "s3"]), AlgebraDescriptor([1, 1]),
+                       [np.diag([-3.0] * 3).astype(complex),
+                        np.full((3, 3), -8e307, dtype=complex)])
+        self._raises_without_warning(lambda: is_positive_definite(K))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_raise(self, bad):
