@@ -18,7 +18,7 @@ margin of -1 ends the pass, and only the reported summand gets a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Number
 
 import numpy as np
@@ -78,16 +78,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spec_norm(a: np.ndarray) -> float:
-    """Largest singular value; 0 for matrices with an empty axis."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """``(a + a*) / 2`` of a matrix, or of each matrix of a stack."""
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    """``(a + a*) / 2`` of a matrix, or of each matrix of a stack.  An
+    overflow is left to the caller: decisions raise ``NonFinite`` on it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -280,25 +275,18 @@ def adjoint(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.descriptor, [b.conj().T for b in x.blocks])
 
 
-def _is_hermitian(x: AlgebraElement, tol: ToleranceConfig) -> bool:
-    return not any(hermitian_defects(b, tol) for b in x.blocks)
-
-
 def is_positive(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether ``x`` is a positive element of the algebra.
 
     True iff ``x`` is hermitian within tolerance and every block has
-    ``lambda_min >= -tol_rel * max(1, ||block||)``.  Non-hermitian input is
-    reported as not positive rather than rejected.
+    ``lambda_min >= -tol_rel * max(1, ||block||)``, decided by
+    ``worst_psd_defect``.  Non-hermitian input is reported as not positive
+    rather than rejected; a non-finite block or hermitian part raises
+    ``NonFinite``.
     """
-    if not _is_hermitian(x, tol):
+    if any(hermitian_defects(b, tol) for b in x.blocks):
         return False
-    for b in x.blocks:
-        w = np.linalg.eigvalsh(_hermitian_part(b))
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if w[0] < -tol.tol_rel * scale:
-            return False
-    return True
+    return worst_psd_defect(list(x.blocks), tol, _hermitian_part) is None
 
 
 def _cholesky_passes(H: np.ndarray, tol: ToleranceConfig) -> bool:
@@ -440,8 +428,7 @@ def psd_margins(stack: np.ndarray, scale=None):
     eigenvector, the witness.  ``scale`` broadcasts against the leading axes
     and defaults to each matrix's ``max |lambda|``.  Fails closed: a
     non-finite hermitian part or eigenvalue raises ``NonFinite``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        h = _require_finite([_hermitian_part(stack)], "a matrix")[0]
+    h = _require_finite([_hermitian_part(stack)], "a matrix")[0]
     w, u = np.linalg.eigh(h)
     w = _require_finite([w], "a matrix")[0]
     lam = w[..., 0]
@@ -462,8 +449,9 @@ def abs_value(x: AlgebraElement) -> AlgebraElement:
 
 
 def op_norm(x: AlgebraElement) -> float:
-    """C*-norm: the largest singular value over all blocks."""
-    return max(_spec_norm(b) for b in x.blocks)
+    """C*-norm: the largest singular value over all blocks; an infinite or
+    NaN entry raises ``NonFinite``."""
+    return max(float(spectral_norms(b)) for b in x.blocks)
 
 
 def re_part(x: AlgebraElement) -> AlgebraElement:
@@ -494,5 +482,6 @@ def module_abs(x: ModuleElement) -> AlgebraElement:
 
 
 def module_norm(x: ModuleElement) -> float:
-    """Module norm ``||x|| = ||<x, x>||^(1/2)``: largest singular value."""
-    return max(_spec_norm(b) for b in x.blocks)
+    """Module norm ``||x|| = ||<x, x>||^(1/2)``: largest singular value; an
+    infinite or NaN entry raises ``NonFinite``."""
+    return max(float(spectral_norms(b)) for b in x.blocks)

@@ -17,11 +17,12 @@ import argparse
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .algebra import AlgebraDescriptor, DimensionMismatch, ToleranceConfig
+from .algebra import AlgebraDescriptor, ToleranceConfig
 from .decomposition import (
     PreconditionFailure,
     decompose_cpd,
@@ -30,13 +31,7 @@ from .decomposition import (
     sum_sq_diff_decomposition,
     sum_sq_diff_reconstruct,
 )
-from .embedding import (
-    CStarMetric,
-    InvalidMetric,
-    embed,
-    metric_norm,
-    validate_metric,
-)
+from .embedding import CStarMetric, embed, validate_metric
 from .generators import (
     FIXTURE_NAMES,
     GenConfig,
@@ -49,13 +44,11 @@ from .generators import (
 )
 from .kernels import (
     Kernel,
-    NotHermitian,
-    UnknownLabel,
+    Verdict,
     _max_norm,
     cond_positive_matrix_check,
     is_conditionally_positive_definite,
     is_positive_definite,
-    kernel_norm,
     schur_product,
     shift_transform,
 )
@@ -98,14 +91,8 @@ class Report:
     tolerances: ToleranceConfig
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "artifacts": self.artifacts,
-            "timings_ms": self.timings_ms,
-            "tolerances": tolerances_to_json(self.tolerances),
-        }
+        """The fields in declaration order, the tolerances as JSON."""
+        return dict(vars(self), tolerances=tolerances_to_json(self.tolerances))
 
 
 def _dims(text: str) -> list[int]:
@@ -118,252 +105,85 @@ def _dims(text: str) -> list[int]:
     return dims
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cpdkernels",
-        description=(
-            "Positivity checks, decompositions, and metric embeddings for "
-            "operator-valued kernels over direct sums of matrix algebras."
-        ),
-    )
-    parser.add_argument(
-        "--tol-rel", type=float, default=ToleranceConfig().tol_rel,
-        help="relative tolerance for positivity and hermiticity verdicts",
-    )
-    parser.add_argument(
-        "--rank-tol-rel", type=float, default=ToleranceConfig().rank_tol_rel,
-        help="relative eigenvalue cutoff for rank truncation",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility and ignored: decisions run on one thread",
-    )
-    parser.add_argument(
-        "--no-timings", action="store_true",
-        help="omit wall-clock timings so reports are byte-reproducible",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def input_arg(p):
-        p.add_argument("input", help="document path, or - for standard input")
-
-    p = sub.add_parser("check-pd", help="decide positive definiteness")
-    input_arg(p)
-
-    p = sub.add_parser("check-cpd", help="decide conditional positive definiteness")
-    input_arg(p)
-    p.add_argument(
-        "--base-point", default=None,
-        help="label used by the shift and corm methods (default: first label)",
-    )
-    p.add_argument(
-        "--method", choices=("compression", "shift", "corm"), default="compression",
-        help="decision route; all three agree on every input",
-    )
-
-    p = sub.add_parser("transform", help="base-point shift of a kernel")
-    input_arg(p)
-    p.add_argument("--base-point", default=None)
-
-    p = sub.add_parser("decompose", help="factor a CPD kernel at a base point")
-    input_arg(p)
-    p.add_argument("--base-point", default=None)
-    p.add_argument(
-        "--verify", action="store_true",
-        help="reconstruct the input from the artifact and report the error",
-    )
-
-    p = sub.add_parser(
-        "ssd-decompose",
-        help="split a zero-diagonal self-adjoint CPD table into squared differences",
-    )
-    input_arg(p)
-    p.add_argument("--verify", action="store_true")
-
-    p = sub.add_parser("embed", help="isometrically embed a metric")
-    input_arg(p)
-    p.add_argument("--base-point", default=None)
-    p.add_argument("--verify", action="store_true")
-
-    p = sub.add_parser("check-metric", help="validate the metric axioms")
-    input_arg(p)
-
-    p = sub.add_parser("majorize", help="recover the contraction certifying Kp <= K")
-    p.add_argument("kernel", help="document for the dominating kernel K")
-    p.add_argument("majorized", help="document for the majorized kernel Kp")
-    p.add_argument("--base-point", default=None)
-
-    p = sub.add_parser("demo", help="run a named walkthrough")
-    p.add_argument("name", choices=("schur-counterexample",))
-
-    p = sub.add_parser("gen", help="generate a seeded instance or fixture")
-    p.add_argument("klass", metavar="class", help=f"one of {', '.join(GEN_CLASSES + FIXTURE_NAMES)}")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--dims", type=_dims, default=[2], help="summand sizes, comma-separated")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--magnitude", type=float, default=1.0)
-    p.add_argument("--out", default=None, help="write the document here instead of stdout")
-
-    return parser
+def _base_point(table, chosen: str | None) -> str:
+    """``chosen``, or the first label; an unknown label raises ``UnknownLabel``."""
+    labels = table.index_set.labels
+    return labels[0 if chosen is None else table.index_set.index(chosen)]
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its help, its run function, the documents it reads as
+    ``(argument, document type, help)`` triples, and its other arguments as
+    ``(flags, options)`` pairs.  ``run(args, tol, *documents)`` returns the
+    verdict (``None`` for a construction, ``"n/a"`` for a transform), the
+    artifacts, and a function rebuilding the first document from them, for
+    ``--verify``; ``gen`` writes its document and returns ``None``."""
+
+    help: str
+    run: Callable
+    reads: tuple = ()
+    args: tuple = ()
 
 
-def _load_kernel(path: str) -> Kernel:
-    doc = load_document(_read_text(path))
-    if not isinstance(doc, Kernel):
-        raise SchemaError("$", "expected a kernel document (key 'values')")
-    return doc
+def _check_pd(args, tol, K):
+    return is_positive_definite(K, tol, args.threads), None, None
 
 
-def _load_metric(path: str) -> CStarMetric:
-    doc = load_document(_read_text(path))
-    if not isinstance(doc, CStarMetric):
-        raise SchemaError("$", "expected a metric document (key 'metric')")
-    return doc
+def _check_cpd(args, tol, K):
+    s0 = _base_point(K, args.base_point)
+    if args.method == "compression":
+        verdict = is_conditionally_positive_definite(K, tol, args.threads)
+    elif args.method == "shift":
+        verdict = is_positive_definite(shift_transform(K, s0, tol), tol, args.threads)
+    else:
+        verdict = cond_positive_matrix_check(K, K.index_set.index(s0) + 1, tol)
+    return verdict, {"method": args.method, "base_point": s0}, None
 
 
-def _base_point(labels, chosen: str | None) -> str:
-    if chosen is None:
-        return labels[0]
-    if chosen not in labels:
-        raise UnknownLabel(f"label {chosen!r} not in index set")
-    return chosen
+def _transform(args, tol, K):
+    s0 = _base_point(K, args.base_point)
+    return "n/a", {"base_point": s0, "kernel": kernel_to_json(shift_transform(K, s0, tol))}, None
 
 
-class _Clock:
-    def __init__(self):
-        self.phases: dict[str, float] = {}
-        self._last = time.perf_counter()
-
-    def lap(self, name: str) -> None:
-        now = time.perf_counter()
-        self.phases[name] = round((now - self._last) * 1e3, 3)
-        self._last = now
+def _decompose(args, tol, K):
+    dec = decompose_cpd(K, _base_point(K, args.base_point), tol)
+    return None, {"decomposition": decomposition_to_json(dec)}, partial(reconstruct_cpd, dec)
 
 
-def _verify_block(err: float, bound: float) -> dict:
-    return {"max_error": err, "bound": bound, "ok": bool(err <= bound)}
+def _ssd_decompose(args, tol, K):
+    families = sum_sq_diff_decomposition(K, tol)
+    return (None, {"families": families_to_json(families, K.index_set)},
+            partial(sum_sq_diff_reconstruct, families, K.index_set, K.descriptor))
 
 
-def _decided(cmd: str, verdict, artifacts, clock: _Clock, tol) -> tuple[int, Report]:
-    """The exit code and report of a command that decides a property."""
-    clock.lap("compute")
-    return (0 if verdict.holds else 1), Report(
-        cmd, bool(verdict.holds), verdict_to_json(verdict), artifacts, clock.phases, tol)
+def _embed(args, tol, dm):
+    result = embed(dm, _base_point(dm, args.base_point), tol)
+    return None, {"embedding": embedding_to_json(result)}, result.realized_metric
 
 
-def _built(cmd: str, artifacts: dict, clock: _Clock, tol) -> tuple[int, Report]:
-    """The exit code and report of a construction, failed by its verify block."""
-    clock.lap("compute")
-    code = 0 if artifacts.get("verify", {"ok": True})["ok"] else 1
-    return code, Report(cmd, code == 0, None, artifacts, clock.phases, tol)
+def _check_metric(args, tol, dm):
+    return validate_metric(dm, tol), None, None
 
 
-def _dispatch(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
-    clock = _Clock()
-    cmd = args.command
-
-    if cmd == "gen":
-        return _cmd_gen(args)
-
-    if cmd == "demo":
-        K = fixture("schur-counterexample")
-        clock.lap("parse")
-        base = is_conditionally_positive_definite(K, tol, args.threads)
-        square = schur_product(K, K)
-        product = is_conditionally_positive_definite(square, tol, args.threads)
-        return _decided(cmd, product, {
-            "kernel": kernel_to_json(K),
-            "kernel_verdict": verdict_to_json(base),
-            "schur_square": kernel_to_json(square),
-        }, clock, tol)
-
-    if cmd == "check-pd":
-        K = _load_kernel(args.input)
-        clock.lap("parse")
-        return _decided(cmd, is_positive_definite(K, tol, args.threads), None, clock, tol)
-
-    if cmd == "check-cpd":
-        K = _load_kernel(args.input)
-        s0 = _base_point(K.index_set.labels, args.base_point)
-        clock.lap("parse")
-        if args.method == "compression":
-            verdict = is_conditionally_positive_definite(K, tol, args.threads)
-        elif args.method == "shift":
-            verdict = is_positive_definite(shift_transform(K, s0, tol), tol, args.threads)
-        else:
-            verdict = cond_positive_matrix_check(K, K.index_set.index(s0) + 1, tol)
-        return _decided(cmd, verdict, {"method": args.method, "base_point": s0}, clock, tol)
-
-    if cmd == "transform":
-        K = _load_kernel(args.input)
-        s0 = _base_point(K.index_set.labels, args.base_point)
-        clock.lap("parse")
-        L = shift_transform(K, s0, tol)
-        clock.lap("compute")
-        return 0, Report(cmd, "n/a", None, {"base_point": s0, "kernel": kernel_to_json(L)},
-                         clock.phases, tol)
-
-    if cmd == "decompose":
-        K = _load_kernel(args.input)
-        s0 = _base_point(K.index_set.labels, args.base_point)
-        clock.lap("parse")
-        dec = decompose_cpd(K, s0, tol)
-        artifacts = {"decomposition": decomposition_to_json(dec)}
-        if args.verify:
-            err = kernel_norm(reconstruct_cpd(dec) - K)
-            artifacts["verify"] = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + kernel_norm(K)))
-        return _built(cmd, artifacts, clock, tol)
-
-    if cmd == "ssd-decompose":
-        K = _load_kernel(args.input)
-        clock.lap("parse")
-        families = sum_sq_diff_decomposition(K, tol)
-        artifacts = {"families": families_to_json(families, K.index_set)}
-        if args.verify:
-            err = kernel_norm(sum_sq_diff_reconstruct(families, K.index_set, K.descriptor) - K)
-            artifacts["verify"] = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + kernel_norm(K)))
-        return _built(cmd, artifacts, clock, tol)
-
-    if cmd == "embed":
-        dm = _load_metric(args.input)
-        s0 = _base_point(dm.index_set.labels, args.base_point)
-        clock.lap("parse")
-        result = embed(dm, s0, tol)
-        artifacts = {"embedding": embedding_to_json(result)}
-        if args.verify:
-            err = _metric_error(dm, result.realized_metric())
-            artifacts["verify"] = _verify_block(err, 10.0 * tol.tol_rel * (1.0 + metric_norm(dm)))
-        return _built(cmd, artifacts, clock, tol)
-
-    if cmd == "check-metric":
-        dm = _load_metric(args.input)
-        clock.lap("parse")
-        return _decided(cmd, validate_metric(dm, tol), None, clock, tol)
-
-    if cmd == "majorize":
-        K = _load_kernel(args.kernel)
-        Kp = _load_kernel(args.majorized)
-        s0 = _base_point(K.index_set.labels, args.base_point)
-        clock.lap("parse")
-        cert = recover_contraction(K, Kp, s0, tol)
-        return _built(cmd, {"base_point": s0, "certificate": certificate_to_json(cert)}, clock, tol)
-
-    raise AssertionError(f"unhandled command {cmd!r}")
+def _majorize(args, tol, K, Kp):
+    s0 = _base_point(K, args.base_point)
+    cert = recover_contraction(K, Kp, s0, tol)
+    return None, {"base_point": s0, "certificate": certificate_to_json(cert)}, None
 
 
-def _metric_error(a: CStarMetric, b: CStarMetric) -> float:
-    """Largest entry C*-norm of ``a - b``."""
-    return _max_norm([A - B for A, B in zip(a._stacks, b._stacks)])
+def _demo(args, tol):
+    K = fixture(args.name)
+    base = is_conditionally_positive_definite(K, tol, args.threads)
+    square = schur_product(K, K)
+    return is_conditionally_positive_definite(square, tol, args.threads), {
+        "kernel": kernel_to_json(K),
+        "kernel_verdict": verdict_to_json(base),
+        "schur_square": kernel_to_json(square),
+    }, None
 
 
-def _cmd_gen(args) -> tuple[int, Report | None]:
+def _gen(args, tol):
     name = args.klass
     if name in FIXTURE_NAMES:
         obj = fixture(name)
@@ -380,7 +200,129 @@ def _cmd_gen(args) -> tuple[int, Report | None]:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 0, None
+
+
+_INPUT = (("input", Kernel, "document path, or - for standard input"),)
+_METRIC_INPUT = (("input", CStarMetric, _INPUT[0][2]),)
+_BASE_POINT = (("--base-point",), {"default": None})
+_VERIFY = (("--verify",), {"action": "store_true"})
+
+COMMANDS = {
+    "check-pd": _Command("decide positive definiteness", _check_pd, _INPUT),
+    "check-cpd": _Command("decide conditional positive definiteness", _check_cpd, _INPUT, (
+        (("--base-point",), {
+            "default": None,
+            "help": "label used by the shift and corm methods (default: first label)"}),
+        (("--method",), {
+            "choices": ("compression", "shift", "corm"), "default": "compression",
+            "help": "decision route; all three agree on every input"}),
+    )),
+    "transform": _Command("base-point shift of a kernel", _transform, _INPUT, (_BASE_POINT,)),
+    "decompose": _Command("factor a CPD kernel at a base point", _decompose, _INPUT, (
+        _BASE_POINT,
+        (("--verify",), {
+            "action": "store_true",
+            "help": "reconstruct the input from the artifact and report the error"}),
+    )),
+    "ssd-decompose": _Command(
+        "split a zero-diagonal self-adjoint CPD table into squared differences",
+        _ssd_decompose, _INPUT, (_VERIFY,)),
+    "embed": _Command("isometrically embed a metric", _embed, _METRIC_INPUT,
+                      (_BASE_POINT, _VERIFY)),
+    "check-metric": _Command("validate the metric axioms", _check_metric, _METRIC_INPUT),
+    "majorize": _Command("recover the contraction certifying Kp <= K", _majorize, (
+        ("kernel", Kernel, "document for the dominating kernel K"),
+        ("majorized", Kernel, "document for the majorized kernel Kp"),
+    ), (_BASE_POINT,)),
+    "demo": _Command("run a named walkthrough", _demo, args=(
+        (("name",), {"choices": ("schur-counterexample",)}),
+    )),
+    "gen": _Command("generate a seeded instance or fixture", _gen, args=(
+        (("klass",), {"metavar": "class",
+                      "help": f"one of {', '.join(GEN_CLASSES + FIXTURE_NAMES)}"}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--n",), {"type": int, "default": 3}),
+        (("--dims",), {"type": _dims, "default": [2], "help": "summand sizes, comma-separated"}),
+        (("--rank",), {"type": int, "default": None}),
+        (("--magnitude",), {"type": float, "default": 1.0}),
+        (("--out",), {"default": None, "help": "write the document here instead of stdout"}),
+    )),
+}
+
+# The options that precede the subcommand.
+_OPTIONS = (
+    (("--tol-rel",), {
+        "type": float, "default": ToleranceConfig().tol_rel,
+        "help": "relative tolerance for positivity and hermiticity verdicts"}),
+    (("--rank-tol-rel",), {
+        "type": float, "default": ToleranceConfig().rank_tol_rel,
+        "help": "relative eigenvalue cutoff for rank truncation"}),
+    (("--threads",), {
+        "type": int, "default": 1,
+        "help": "accepted for compatibility and ignored: decisions run on one thread"}),
+    (("--no-timings",), {
+        "action": "store_true",
+        "help": "omit wall-clock timings so reports are byte-reproducible"}),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cpdkernels",
+        description=(
+            "Positivity checks, decompositions, and metric embeddings for "
+            "operator-valued kernels over direct sums of matrix algebras."
+        ),
+    )
+    for flags, options in _OPTIONS:
+        parser.add_argument(*flags, **options)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, _, text in command.reads:
+            p.add_argument(arg, help=text)
+        for flags, options in command.args:
+            p.add_argument(*flags, **options)
+    return parser
+
+
+_DOCUMENTS = {Kernel: "a kernel document (key 'values')",
+              CStarMetric: "a metric document (key 'metric')"}
+
+
+def _load(path: str, kind: type):
+    """The document at ``path`` (``-``: standard input), of type ``kind``."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    doc = load_document(text)
+    if not isinstance(doc, kind):
+        raise SchemaError("$", f"expected {_DOCUMENTS[kind]}")
+    return doc
+
+
+def _run(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
+    """Load the command's documents, run it, and report: a decision exits
+    by its verdict, a construction by its verify block, a transform 0."""
+    command, start = COMMANDS[args.command], time.perf_counter()
+    docs = [_load(getattr(args, arg), kind) for arg, kind, _ in command.reads]
+    parsed = time.perf_counter()
+    out = command.run(args, tol, *docs)
+    if out is None:
+        return 0, None
+    verdict, artifacts, rebuild = out
+    if getattr(args, "verify", False):
+        err = _max_norm([A - B for A, B in zip(rebuild()._stacks, docs[0]._stacks)])
+        bound = 10.0 * tol.tol_rel * (1.0 + _max_norm(docs[0]._stacks))
+        artifacts["verify"] = {"max_error": err, "bound": bound, "ok": bool(err <= bound)}
+    phases = None if args.no_timings else {
+        "parse": round((parsed - start) * 1e3, 3),
+        "compute": round((time.perf_counter() - parsed) * 1e3, 3)}
+    if isinstance(verdict, Verdict):
+        witness, verdict = verdict_to_json(verdict), bool(verdict.holds)
+        code = 0 if verdict else 1
+    else:
+        witness, code = None, 0 if artifacts.get("verify", {"ok": True})["ok"] else 1
+        verdict = code == 0 if verdict is None else verdict
+    return code, Report(args.command, verdict, witness, artifacts, phases, tol)
 
 
 def main(argv=None) -> int:
@@ -391,26 +333,15 @@ def main(argv=None) -> int:
         return 2
     tol = ToleranceConfig(tol_rel=args.tol_rel, rank_tol_rel=args.rank_tol_rel)
     try:
-        code, report = _dispatch(args, tol)
-    except PreconditionFailure as exc:
-        if exc.verdict is not None:
-            report = Report(args.command, False, verdict_to_json(exc.verdict),
-                            None, None, tol)
-            sys.stdout.write(dump_json(report.to_json()))
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return 1
+        code, report = _run(args, tol)
+    except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (SchemaError, NotHermitian, UnknownLabel, DimensionMismatch,
-            InvalidMetric, OSError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
+        if not isinstance(exc, PreconditionFailure) or exc.verdict is None:
+            return 2
+        # A failed decision behind the precondition: report it, with its witness.
+        code, report = 1, Report(args.command, False, verdict_to_json(exc.verdict),
+                                 None, None, tol)
     if report is not None:
-        if args.no_timings:
-            report.timings_ms = None
         sys.stdout.write(dump_json(report.to_json()))
     return code
 

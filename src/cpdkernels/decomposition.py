@@ -27,8 +27,6 @@ from .algebra import (
     DimensionMismatch,
     ModuleElement,
     ToleranceConfig,
-    _spec_norm,
-    module_norm,
     spectral_norms,
 )
 from .kernels import (
@@ -380,11 +378,13 @@ def recover_contraction(
         else:
             wk = vps @ np.linalg.pinv(vs, rcond=tol.rank_tol_rel)
         W.append(wk)
-        norm_W = max(norm_W, _spec_norm(wk))
-        residual = max(residual, _spec_norm(vps - wk @ vs))
+        norm_W = max(norm_W, float(spectral_norms(wk)))
+        residual = max(residual, float(spectral_norms(vps - wk @ vs)))
 
+    # 1 + max_s ||V'(s)||, by one batched SVD over the points of each summand.
     scale_v = 1.0 + max(
-        (module_norm(factp.V[s]) for s in K.index_set.labels), default=0.0
+        float(spectral_norms(np.stack([factp.V[s].blocks[k] for s in K.index_set.labels])).max())
+        for k in range(K.descriptor.num_summands)
     )
     loose = np.sqrt(tol.tol_rel)
     if residual > loose * scale_v:

@@ -39,6 +39,7 @@ from .algebra import (
     AlgebraElement,
     DimensionMismatch,
     ToleranceConfig,
+    _hermitian_part,
     _require_finite,
     adjoint,
     hermitian_defects,
@@ -364,12 +365,6 @@ def assemble_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndar
     modifying it.
     """
     return _require_hermitian(list(K._grams), K.n, tol)
-
-
-def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    # An overflow here is caught by worst_psd_defect, which raises NonFinite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig) -> Verdict:

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .decomposition import CPDDecomposition, Factorization, MajorizationCertificate
 from .embedding import CStarMetric, EmbeddingResult
-from .kernels import IndexSet, Kernel, Verdict, Witness, _assembled
+from .kernels import IndexSet, Kernel, Verdict, _assembled
 
 __all__ = [
     "SchemaError",

@@ -13,6 +13,7 @@ from cpdkernels import (
     DimensionMismatch,
     GenConfig,
     ModuleElement,
+    NonFinite,
     ToleranceConfig,
     abs_value,
     adjoint,
@@ -26,6 +27,7 @@ from cpdkernels import (
     random_module_element,
     random_positive_two_by_two,
     re_part,
+    two_by_two_check,
 )
 from helpers import single_block, two_summands
 
@@ -117,6 +119,39 @@ class TestIsPositive:
         x = single_block([[big, 0.0], [0.0, -1e-3]])
         assert is_positive(x)
         assert not is_positive(single_block([[1.0, 0.0], [0.0, -1e-3]]))
+
+
+class TestFailClosed:
+    """An element whose hermitian part or norm overflows is never decided
+    as positive: ``NonFinite``, with no numpy warning (warnings fail the run)."""
+
+    OVERFLOWING = [
+        [[-1e308, -1e308], [-1e308, -1e308]],  # its hermitian part overflows to -inf
+        [[1e308, -1.7e308], [-1.7e308, 1e308]],  # to +-inf off the diagonal
+    ]
+
+    @pytest.mark.parametrize("rows", OVERFLOWING)
+    def test_positivity_and_order_raise(self, rows):
+        x, zero = single_block(rows), AlgebraElement.zero(M2)
+        with pytest.raises(NonFinite):
+            is_positive(x)
+        with pytest.raises(NonFinite):
+            leq(zero, x)
+        with pytest.raises(NonFinite):
+            two_by_two_check(x, zero, zero)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_norms_raise(self, bad):
+        with pytest.raises(NonFinite):
+            op_norm(two_summands([[1.0]], [[bad]]))
+        with pytest.raises(NonFinite):
+            module_norm(ModuleElement(M2, [1], [np.array([[1.0, bad]])]))
+
+    def test_norms_of_empty_blocks_are_zero(self):
+        desc = AlgebraDescriptor([2, 1])
+        assert module_norm(ModuleElement.zero(desc, [0, 0])) == 0.0
+        assert module_norm(ModuleElement(desc, [0, 3], [np.zeros((0, 2)), np.ones((3, 1))])) \
+            == pytest.approx(np.sqrt(3.0))
 
 
 class TestLeq:

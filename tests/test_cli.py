@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, report shape, and reproducibility."""
 
+import argparse
 import io
 import json
 import os
@@ -23,12 +24,13 @@ from cpdkernels import (
     load_document,
     metric_to_json,
     random_hermitian_kernel,
+    random_cpd_kernel,
     random_majorized_pair,
     random_metric,
     scalar_kernel,
     scalar_metric,
 )
-from cpdkernels.cli import main
+from cpdkernels.cli import build_parser, main
 from helpers import overflow_metric, same_bits
 
 
@@ -428,3 +430,67 @@ class TestReportShape:
             outputs.append((code, out))
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][1])["timings_ms"] is None
+
+
+class TestFailedVerify:
+    """A reconstruction coarser than the input fails its verify block: the
+    construction reports verdict false and exits 1, on kernels and metrics."""
+
+    @pytest.mark.parametrize("command, make", [
+        ("decompose", lambda cfg: random_cpd_kernel(cfg)),
+        ("ssd-decompose", lambda cfg: random_cpd_kernel(cfg, diagonal_zero=True)),
+        ("embed", random_metric),
+    ])
+    def test_a_truncated_rank_exits_one(self, capsys, tmp_path, command, make):
+        doc = make(GenConfig(seed=1, n=5, descriptor=AlgebraDescriptor([2, 1])))
+        write = write_metric if command == "embed" else write_kernel
+        path = write(tmp_path, doc)
+        code, out, err = run(capsys, "--no-timings", "--rank-tol-rel", "0.9",
+                             command, path, "--verify")
+        report = json.loads(out)
+        block = report["artifacts"]["verify"]
+        assert (code, report["verdict"], block["ok"], err) == (1, False, False, "")
+        assert block["max_error"] > block["bound"] > 0.0
+
+
+def _parser_shape(parser):
+    """Each argument's name or option strings, default, choices and type."""
+    return [
+        (tuple(a.option_strings) or a.dest, a.default,
+         None if a.choices is None else tuple(a.choices), getattr(a.type, "__name__", None))
+        for a in parser._actions
+        if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+    ]
+
+
+class TestParserShape:
+    BASE_POINT = (("--base-point",), None, None, None)
+    VERIFY = (("--verify",), False, None, None)
+    SHAPE = {
+        None: [(("--tol-rel",), 1e-09, None, "float"),
+               (("--rank-tol-rel",), 1e-10, None, "float"),
+               (("--threads",), 1, None, "int"),
+               (("--no-timings",), False, None, None)],
+        "check-pd": [("input", None, None, None)],
+        "check-cpd": [("input", None, None, None), BASE_POINT,
+                      (("--method",), "compression", ("compression", "shift", "corm"), None)],
+        "transform": [("input", None, None, None), BASE_POINT],
+        "decompose": [("input", None, None, None), BASE_POINT, VERIFY],
+        "ssd-decompose": [("input", None, None, None), VERIFY],
+        "embed": [("input", None, None, None), BASE_POINT, VERIFY],
+        "check-metric": [("input", None, None, None)],
+        "majorize": [("kernel", None, None, None), ("majorized", None, None, None), BASE_POINT],
+        "demo": [("name", None, ("schur-counterexample",), None)],
+        "gen": [("klass", None, None, None), (("--seed",), 0, None, "int"),
+                (("--n",), 3, None, "int"), (("--dims",), [2], None, "_dims"),
+                (("--rank",), None, None, "int"), (("--magnitude",), 1.0, None, "float"),
+                (("--out",), None, None, None)],
+    }
+
+    def test_every_command_and_option_in_order(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        shape = {None: _parser_shape(parser)}
+        shape.update((name, _parser_shape(p)) for name, p in sub.choices.items())
+        assert list(shape) == list(self.SHAPE)
+        assert shape == self.SHAPE
