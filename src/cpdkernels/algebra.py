@@ -85,11 +85,14 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
         return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a hermitian matrix, or of each matrix of a
-    stack, clamping negative eigenvalues to zero so roundoff on the
-    semidefinite boundary cannot produce complex output."""
-    w, u = np.linalg.eigh(_hermitian_part(a))
+def _abs(b: np.ndarray) -> np.ndarray:
+    """``|b| = (b* b)^(1/2)`` of a matrix, or of each matrix of a stack: the
+    principal root, clamping negative eigenvalues of ``b* b`` to zero so
+    roundoff on the semidefinite boundary cannot produce complex output.  An
+    overflow raises ``NonFinite``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by _require_finite
+        h = _require_finite([_hermitian_part(b.conj().swapaxes(-1, -2) @ b)], "a matrix")[0]
+    w, u = np.linalg.eigh(h)
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
@@ -442,10 +445,9 @@ def leq(x: AlgebraElement, y: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL
 
 
 def abs_value(x: AlgebraElement) -> AlgebraElement:
-    """Absolute value ``|x| = (x* x)^(1/2)``, blockwise principal root."""
-    return AlgebraElement(
-        x.descriptor, [_psd_sqrt(b.conj().T @ b) for b in x.blocks]
-    )
+    """Absolute value ``|x| = (x* x)^(1/2)``, blockwise principal root; an
+    overflow raises ``NonFinite``."""
+    return AlgebraElement(x.descriptor, [_abs(b) for b in x.blocks])
 
 
 def op_norm(x: AlgebraElement) -> float:
@@ -455,15 +457,17 @@ def op_norm(x: AlgebraElement) -> float:
 
 
 def re_part(x: AlgebraElement) -> AlgebraElement:
-    """Hermitian part ``(x + x*) / 2``."""
-    return AlgebraElement(x.descriptor, [_hermitian_part(b) for b in x.blocks])
+    """Hermitian part ``(x + x*) / 2``; an overflow raises ``NonFinite``."""
+    return AlgebraElement(
+        x.descriptor, _require_finite([_hermitian_part(b) for b in x.blocks], "a real part"))
 
 
 def im_part(x: AlgebraElement) -> AlgebraElement:
-    """Anti-hermitian part ``(x - x*) / (2i)``; ``x = re + i*im`` exactly."""
-    return AlgebraElement(
-        x.descriptor, [(b - b.conj().T) / 2j for b in x.blocks]
-    )
+    """Anti-hermitian part ``(x - x*) / (2i)``; ``x = re + i*im`` exactly.
+    An overflow raises ``NonFinite``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by _require_finite
+        blocks = [(b - b.conj().T) / 2j for b in x.blocks]
+    return AlgebraElement(x.descriptor, _require_finite(blocks, "an imaginary part"))
 
 
 def module_inner(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
@@ -475,10 +479,9 @@ def module_inner(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
 
 
 def module_abs(x: ModuleElement) -> AlgebraElement:
-    """Module absolute value ``|x| = <x, x>^(1/2)``."""
-    return AlgebraElement(
-        x.descriptor, [_psd_sqrt(b.conj().T @ b) for b in x.blocks]
-    )
+    """Module absolute value ``|x| = <x, x>^(1/2)``; an overflow raises
+    ``NonFinite``."""
+    return AlgebraElement(x.descriptor, [_abs(b) for b in x.blocks])
 
 
 def module_norm(x: ModuleElement) -> float:

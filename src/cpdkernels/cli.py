@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .algebra import AlgebraDescriptor, ToleranceConfig
+from .algebra import AlgebraDescriptor, ToleranceConfig, spectral_norms
 from .decomposition import (
     PreconditionFailure,
     decompose_cpd,
@@ -45,7 +45,6 @@ from .generators import (
 from .kernels import (
     Kernel,
     Verdict,
-    _max_norm,
     cond_positive_matrix_check,
     is_conditionally_positive_definite,
     is_positive_definite,
@@ -215,7 +214,7 @@ COMMANDS = {
             "help": "label used by the shift and corm methods (default: first label)"}),
         (("--method",), {
             "choices": ("compression", "shift", "corm"), "default": "compression",
-            "help": "decision route; all three agree on every input"}),
+            "help": "decision route; compression and corm validate the kernel, shift its shift"}),
     )),
     "transform": _Command("base-point shift of a kernel", _transform, _INPUT, (_BASE_POINT,)),
     "decompose": _Command("factor a CPD kernel at a base point", _decompose, _INPUT, (
@@ -310,8 +309,9 @@ def _run(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
         return 0, None
     verdict, artifacts, rebuild = out
     if getattr(args, "verify", False):
-        err = _max_norm([A - B for A, B in zip(rebuild()._stacks, docs[0]._stacks)])
-        bound = 10.0 * tol.tol_rel * (1.0 + _max_norm(docs[0]._stacks))
+        doc, new = docs[0], rebuild()
+        err = max(float(spectral_norms(A - B).max()) for A, B in zip(new._stacks, doc._stacks))
+        bound = 10.0 * tol.tol_rel * (1.0 + float(doc._norms.max()))
         artifacts["verify"] = {"max_error": err, "bound": bound, "ok": bool(err <= bound)}
     phases = None if args.no_timings else {
         "parse": round((parsed - start) * 1e3, 3),

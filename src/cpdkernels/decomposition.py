@@ -34,9 +34,9 @@ from .kernels import (
     Kernel,
     Verdict,
     _assembled,
-    _require_hermitian,
+    _cpd_input,
+    _cpd_verdict,
     _shifted,
-    assemble_gram,
     is_conditionally_positive_definite,
     is_positive_definite,
     kernel_norm,
@@ -132,6 +132,9 @@ def factor_pd(
     ``V(s)`` blocks.  The output is deterministic up to the left unitary
     gauge freedom of the eigensolver.
 
+    ``check=False`` means the caller has already established that ``L`` is
+    positive and hermitian; ``L`` is then neither validated nor decided.
+
     Raises
     ------
     PreconditionFailure
@@ -142,8 +145,7 @@ def factor_pd(
         if not verdict.holds:
             raise PreconditionFailure("kernel is not positive definite", verdict)
     dims, ranks, factors = L.descriptor.summand_dims, [], []
-    grams = assemble_gram(L, tol)
-    for w, u in (_top_eigenpairs(G, tol) for G in grams):
+    for w, u in (_top_eigenpairs(G, tol) for G in L._grams):
         ranks.append(w.size)
         factors.append(np.sqrt(w)[:, None] * u.conj().T)
     # A label whose Gram diagonal block is exactly zero factors through the
@@ -178,6 +180,15 @@ def factor_kernel(fact: Factorization) -> Kernel:
                       [_assembled(_cross(X)) for X in _points(fact)])
 
 
+def _cpd_factor(K: Kernel, s0: str, tol: ToleranceConfig) -> Factorization:
+    """Decide a kernel whose hermiticity is settled CPD, once, then factor
+    its base-point shift at ``s0``, which that decision proves positive."""
+    verdict = _cpd_verdict(K, tol)
+    if not verdict.holds:
+        raise PreconditionFailure("kernel is not conditionally positive definite", verdict)
+    return factor_pd(shift_transform(K, s0, tol), tol, check=False)
+
+
 def decompose_cpd(
     K: Kernel, s0: str, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CPDDecomposition:
@@ -187,14 +198,7 @@ def decompose_cpd(
     ``h(s) = -K(s,s)/2 - i Im K(s,s0)``; together they reconstruct ``K``
     exactly for any hermitian input.
     """
-    verdict = is_conditionally_positive_definite(K, tol)
-    if not verdict.holds:
-        raise PreconditionFailure("kernel is not conditionally positive definite", verdict)
-    L = shift_transform(K, s0, tol)
-    # Conditional positivity of K already certifies positivity of the shift;
-    # rechecking against a differently anchored matrix could only disagree on
-    # inputs sitting exactly on the tolerance boundary.
-    fact = factor_pd(L, tol, check=False)
+    fact = _cpd_factor(_cpd_input(K, tol), s0, tol)
     i0, n = K.index_set.index(s0), K.n
     H = [(-0.5) * S[range(n), range(n)] - 1j * ((S[:, i0] - S[:, i0].conj().swapaxes(1, 2)) / 2j)
          for S in K._stacks]  # im_part's arithmetic: the same bits
@@ -247,11 +251,10 @@ def sum_sq_diff_decomposition(
     if not verdict.holds:
         raise PreconditionFailure("kernel is not conditionally positive definite", verdict)
 
-    shifted = [_shifted(G, n, n - 1) for G in K._grams]
     desc = K.descriptor
     families: list[dict[str, AlgebraElement]] = []
-    for k, (d, B) in enumerate(zip(desc.summand_dims, _require_hermitian(shifted, n, tol))):
-        w, u = _top_eigenpairs(B, tol)
+    for k, (d, G) in enumerate(zip(desc.summand_dims, K._grams)):
+        w, u = _top_eigenpairs(_shifted(G, n, n - 1), tol)
         zeros = [np.zeros((dk, dk)) for dk in desc.summand_dims]
         for alpha in range(w.size):
             lifts = np.zeros((n, d, d), dtype=np.complex128)
@@ -281,9 +284,9 @@ def sum_sq_diff_reconstruct(
 
 def kernel_leq(K1: Kernel, K2: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:
     """Order ``K1 <= K2``: the difference ``K2 - K1`` is conditionally
-    positive definite."""
+    positive definite; ``K1`` and ``K2`` are validated, not the difference."""
     K1._check_compatible(K2)
-    return is_conditionally_positive_definite(K2 - K1, tol)
+    return _cpd_verdict(_cpd_input(K2, tol) - _cpd_input(K1, tol), tol)
 
 
 def majorized_kernel(fact: Factorization, operator_blocks) -> Kernel:
@@ -312,17 +315,12 @@ def _shape_offender(K: Kernel, cols, tol: ToleranceConfig):
     """The first row ``i`` where ``K(s_i, s_i) = 0`` fails, ``(i, -1)``, or
     else ``K(s_i, s_j)`` self-adjoint for the ``j``-th column of ``cols``,
     ``(i, j)``; ``None`` if none.  Each holds up to ``tol_rel * max(1,
-    kernel_norm(K))`` in the 2-norm over summands, by one batched call each."""
-    n, scale, norms = K.n, 1.0, []
-    for S in K._stacks:
-        C, d = S[:, cols], S.shape[-1]
-        with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
-            D = C - C.conj().swapaxes(-1, -2)
-        N = spectral_norms(np.concatenate([S.reshape(-1, d, d), D.reshape(-1, d, d)]))
-        scale = max(scale, float(N[: n * n].max()))
-        norms.append(np.column_stack([N[: n * n].reshape(n, n).diagonal(),
-                                      N[n * n :].reshape(n, -1)]))
-    bad = np.max(norms, axis=0) > tol.tol_rel * scale
+    kernel_norm(K))`` in the 2-norm over summands, by batched calls."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
+        skews = [S[:, cols] - S[:, cols].conj().swapaxes(-1, -2) for S in K._stacks]
+    norms = np.column_stack([K._norms.diagonal(),
+                             np.max([spectral_norms(D) for D in skews], axis=0)])
+    bad = norms > tol.tol_rel * max(1.0, float(K._norms.max()))
     if not bad.any():
         return None
     i, c = divmod(int(np.argmax(bad)), bad.shape[1])
@@ -359,20 +357,15 @@ def recover_contraction(
     K._check_compatible(Kp)
     _check_pro1_shape(K, s0, tol, "K")
     _check_pro1_shape(Kp, s0, tol, "Kp")
-    order = kernel_leq(Kp, K, tol)
+    order = kernel_leq(Kp, K, tol)  # validates K and Kp, once each
     if not order.holds:
         raise PreconditionFailure("Kp is not majorized by K", order)
 
-    dec = decompose_cpd(K, s0, tol)
-    decp = decompose_cpd(Kp, s0, tol)
-    fact, factp = dec.factorization, decp.factorization
+    fact, factp = _cpd_factor(K, s0, tol), _cpd_factor(Kp, s0, tol)
 
-    W = []
-    residual = 0.0
-    norm_W = 0.0
+    W, residual, norm_W = [], 0.0, 0.0
     for k in range(K.descriptor.num_summands):
-        vs = fact.stacked(k)
-        vps = factp.stacked(k)
+        vs, vps = fact.stacked(k), factp.stacked(k)
         if vs.shape[0] == 0:
             wk = np.zeros((vps.shape[0], 0), dtype=np.complex128)
         else:
@@ -399,7 +392,5 @@ def recover_contraction(
     recon = majorized_kernel(fact, C)
     err = kernel_norm(recon - Kp)
     if err > loose * (1.0 + kernel_norm(K)):
-        raise PreconditionFailure(
-            f"reconstruction error {err:.3e} exceeds tolerance"
-        )
+        raise PreconditionFailure(f"reconstruction error {err:.3e} exceeds tolerance")
     return MajorizationCertificate(tuple(W), C, float(residual), float(norm_W))

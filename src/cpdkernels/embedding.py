@@ -22,7 +22,7 @@ from .algebra import (
     DEFAULT_TOL,
     ModuleElement,
     ToleranceConfig,
-    _psd_sqrt,
+    _abs,
     hermitian_defects,
     psd_margins,
     spectral_norms,
@@ -35,9 +35,8 @@ from .kernels import (
     Witness,
     _Table,
     _assembled,
-    _max_norm,
+    _cpd_verdict,
     _scalar,
-    is_conditionally_positive_definite,
     shift_transform,
 )
 
@@ -85,7 +84,7 @@ def scalar_metric(matrix, labels=None) -> CStarMetric:
 
 def metric_norm(dm: CStarMetric) -> float:
     """Largest entry C*-norm; the scale used by relative tolerances."""
-    return _max_norm(dm._stacks)
+    return float(dm._norms.max())
 
 
 def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:
@@ -107,8 +106,7 @@ def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verd
     entry norm.  Fails closed: an infinite or NaN value in the table or met
     in an axiom's arithmetic (an overflow) raises ``NonFinite``.
     """
-    labels, n, stacks = dm.index_set.labels, dm.n, dm._stacks
-    norms = np.max([spectral_norms(S) for S in stacks], axis=0)
+    labels, n, stacks, norms = dm.index_set.labels, dm.n, dm._stacks, dm._norms
     entries = [psd_margins(S, norms) for S in stacks]
     margins = np.stack([m for _, m, _ in entries], axis=-1)
     skew = np.any([hermitian_defects(S, tol) for S in stacks], axis=0)
@@ -189,13 +187,14 @@ def is_embeddable(
     InvalidMetric
         If the table is not a metric in the first place.
     """
-    return _embeddability(dm, tol, threads)[0]
+    return _embeddability(dm, tol)[0]
 
 
-def _embeddability(dm: CStarMetric, tol: ToleranceConfig, threads: int = 1):
-    """``is_embeddable``'s verdict and the kernel ``-d^2`` it decides."""
+def _embeddability(dm: CStarMetric, tol: ToleranceConfig):
+    """``is_embeddable``'s verdict and the kernel ``-d^2`` it decides, with no
+    second hermiticity test: the metric axioms make ``-d^2`` hermitian."""
     K = metric_to_kernel(dm, tol)
-    return Verdict(True) if dm.n < 2 else is_conditionally_positive_definite(K, tol, threads), K
+    return Verdict(True) if dm.n < 2 else _cpd_verdict(K, tol), K
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +220,9 @@ class EmbeddingResult:
 def _abs_differences(points: list[ModuleElement]) -> list[np.ndarray]:
     """``module_abs(x_i - x_j)`` for every pair of points, one ``(n, n, d,
     d)`` stack per summand."""
-    out = []
-    for k in range(points[0].descriptor.num_summands):
-        X = np.array([x.blocks[k] for x in points])
-        D = X[:, None] - X[None, :]
-        out.append(_psd_sqrt(D.conj().swapaxes(-1, -2) @ D))
-    return out
+    stacks = (np.array([x.blocks[k] for x in points])
+              for k in range(points[0].descriptor.num_summands))
+    return [_abs(X[:, None] - X[None, :]) for X in stacks]
 
 
 def embed(
@@ -280,15 +276,14 @@ def distance_matrix_from_points(
     n = len(labels)
     for S in stacks:
         S[range(n), range(n)] = 0.0
-    norms = np.max([spectral_norms(S) for S in stacks], axis=0)
+    dm = CStarMetric._of(index_set, first.descriptor, [_assembled(S) for S in stacks])
     upper = np.triu_indices(n, 1)
-    coincident = norms[upper] <= tol.tol_rel * max(1.0, float(norms.max()))
+    coincident = dm._norms[upper] <= tol.tol_rel * max(1.0, metric_norm(dm))
     if coincident.any():
         p = int(np.argmax(coincident))
         raise InvalidMetric(
             f"labels ({labels[upper[0][p]]}, {labels[upper[1][p]]}) name coincident points"
         )
-    dm = CStarMetric._of(index_set, first.descriptor, [_assembled(S) for S in stacks])
     verdict = validate_metric(dm, tol)
     if not verdict.holds:
         raise InvalidMetric(verdict.context or "metric axioms fail", verdict)

@@ -195,6 +195,12 @@ class _Table:
         return tuple(_stack(G, self.n) for G in self._grams)
 
     @cached_property
+    def _norms(self) -> np.ndarray:
+        """``(n, n)`` entry C*-norms, the largest over summands, by one
+        batched SVD per summand; an infinite or NaN entry raises ``NonFinite``."""
+        return np.max([spectral_norms(S) for S in self._stacks], axis=0)
+
+    @cached_property
     def values(self) -> tuple[tuple[AlgebraElement, ...], ...]:
         return tuple(
             tuple(AlgebraElement(self.descriptor, [S[i, j] for S in self._stacks])
@@ -228,7 +234,7 @@ class Kernel(_Table):
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Whether ``||K(s,t) - K(t,s)*|| <= tol_rel * max(1, kernel_norm)``
         for every pair; raises ``NonFinite`` on an infinite or NaN entry."""
-        return _hermitian(self._grams, self.n, tol)
+        return _hermitian(self, tol)
 
     @classmethod
     def zero(cls, index_set: IndexSet, descriptor: AlgebraDescriptor) -> Kernel:
@@ -294,7 +300,7 @@ def scalar_kernel(matrix, labels=None) -> Kernel:
 
 def kernel_norm(K: Kernel) -> float:
     """Largest entry C*-norm; the scale used by relative tolerances."""
-    return _max_norm(K._stacks)
+    return float(K._norms.max())
 
 
 def _stack(G: np.ndarray, n: int) -> np.ndarray:
@@ -303,32 +309,20 @@ def _stack(G: np.ndarray, n: int) -> np.ndarray:
     return G.reshape(n, d, n, d).swapaxes(1, 2)
 
 
-def _max_norm(stacks) -> float:
-    """Largest C*-norm of an entry of a table given as one ``(n, n, d, d)``
-    stack per summand; an infinite or NaN entry raises ``NonFinite``."""
-    return max(float(spectral_norms(S).max()) for S in stacks)
-
-
-def _hermitian(grams: list[np.ndarray], n: int, tol: ToleranceConfig) -> bool:
-    """``Kernel.is_hermitian`` on assembled summands.  Block ``(i, j)`` of
-    ``G - G*`` is ``K(s_i, s_j) - K(s_j, s_i)*``; its 2-norm is at most its
-    Frobenius norm, and the scale ``max(1, kernel_norm)`` is at least ``max(1,
-    max |G|)``.  So Frobenius norms below half of ``tol_rel`` times that floor
-    (the half absorbs rounding) prove the table hermitian; otherwise the exact
-    2-norms of the blocks with ``i <= j`` decide."""
-    upper = np.triu_indices(n)
-    diffs = [_stack(G - G.conj().T, n)[upper] for G in _require_finite(grams)]
+def _hermitian(K: Kernel, tol: ToleranceConfig) -> bool:
+    """The table hermiticity test of ``Kernel.is_hermitian``.  Block ``(i,
+    j)`` of ``G - G*`` is ``K(s_i, s_j) - K(s_j, s_i)*``; its 2-norm is at
+    most its Frobenius norm, and the scale ``max(1, kernel_norm)`` is at
+    least ``max(1, max |G|)``.  So Frobenius norms below half of ``tol_rel``
+    times that floor (the half absorbs rounding) prove the table hermitian;
+    otherwise the exact 2-norms of the blocks with ``i <= j`` decide."""
+    grams, upper = _require_finite(list(K._grams)), np.triu_indices(K.n)
+    diffs = [_stack(G - G.conj().T, K.n)[upper] for G in grams]
     floor = max(1.0, *(float(np.abs(G).max()) for G in grams))
     if all(np.linalg.norm(D, axis=(-2, -1)).max() <= 0.5 * tol.tol_rel * floor for D in diffs):
         return True
-    scale = max(1.0, _max_norm([_stack(G, n) for G in grams]))
+    scale = max(1.0, float(K._norms.max()))
     return all(np.linalg.norm(D, 2, axis=(-2, -1)).max() <= tol.tol_rel * scale for D in diffs)
-
-
-def _require_hermitian(grams: list[np.ndarray], n: int, tol: ToleranceConfig) -> list:
-    if not _hermitian(grams, n, tol):
-        raise NotHermitian("kernel table is not hermitian at tolerance")
-    return grams
 
 
 def _shifted(G: np.ndarray, n: int, m: int, compress: bool = False) -> np.ndarray:
@@ -361,10 +355,13 @@ def _shifted(G: np.ndarray, n: int, m: int, compress: bool = False) -> np.ndarra
 def assemble_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Per-summand block matrix: entry block (i, j) is summand k of K(s_i, s_j).
 
-    The arrays are the kernel's own storage and read-only; copy one before
-    modifying it.
+    This is where decisions validate their input: a table that is not
+    hermitian at tolerance raises ``NotHermitian``.  The arrays are the
+    kernel's own storage and read-only; copy one before modifying it.
     """
-    return _require_hermitian(list(K._grams), K.n, tol)
+    if not _hermitian(K, tol):
+        raise NotHermitian("kernel table is not hermitian at tolerance")
+    return list(K._grams)
 
 
 def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig) -> Verdict:
@@ -394,6 +391,22 @@ def compressed_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.nd
     return [_shifted(G, K.n, K.n - 1, compress=True) for G in assemble_gram(K, tol)]
 
 
+def _cpd_input(K: Kernel, tol: ToleranceConfig) -> Kernel:
+    """``K``, validated for a conditional positivity decision: two labels,
+    checked first, and a hermitian table."""
+    if K.n < 2:
+        raise ValueError("conditional positivity needs at least two labels")
+    assemble_gram(K, tol)
+    return K
+
+
+def _cpd_verdict(K: Kernel, tol: ToleranceConfig) -> Verdict:
+    """Conditional positivity of a kernel whose hermiticity is settled (a
+    validated table, or one derived from validated tables): the compression
+    of each summand, decided on its hermitian part."""
+    return _psd_verdict([_shifted(G, K.n, K.n - 1, compress=True) for G in K._grams], tol)
+
+
 def is_conditionally_positive_definite(
     K: Kernel, tol: ToleranceConfig = DEFAULT_TOL, threads: int = 1
 ) -> Verdict:
@@ -403,9 +416,7 @@ def is_conditionally_positive_definite(
     lives in the compressed space.  Requires at least two labels.
     ``threads`` is accepted and ignored.
     """
-    if K.n < 2:
-        raise ValueError("conditional positivity needs at least two labels")
-    return _psd_verdict(compressed_gram(K, tol), tol)
+    return _cpd_verdict(_cpd_input(K, tol), tol)
 
 
 def shift_transform(K: Kernel, s0: str, tol: ToleranceConfig = DEFAULT_TOL) -> Kernel:
@@ -446,8 +457,7 @@ def cond_positive_matrix_check(
     """
     if not 1 <= m <= K.n:
         raise ValueError(f"m must be in 1..{K.n}, got {m}")
-    shifted = [_shifted(G, K.n, m - 1) for G in K._grams]
-    return _psd_verdict(_require_hermitian(shifted, K.n, tol), tol)
+    return _psd_verdict([_shifted(G, K.n, m - 1) for G in assemble_gram(K, tol)], tol)
 
 
 def two_by_two_check(

@@ -5,9 +5,11 @@ import importlib.util
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cpdkernels.generators as gen
 from cpdkernels import (
@@ -18,6 +20,7 @@ from cpdkernels import (
     IndexSet,
     Kernel,
     ModuleElement,
+    NonFinite,
     Verdict,
     Witness,
     adjoint,
@@ -32,6 +35,15 @@ from cpdkernels import (
 )
 from cpdkernels.algebra import _BAND
 from cpdkernels.serialize import element_to_json
+
+
+def raises_without_warning(call) -> None:
+    """``call()`` fails closed: it raises ``NonFinite`` and emits no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFinite):
+            call()
+    assert [str(w.message) for w in caught] == []
 
 
 def single_block(matrix) -> AlgebraElement:

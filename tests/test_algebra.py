@@ -29,7 +29,7 @@ from cpdkernels import (
     re_part,
     two_by_two_check,
 )
-from helpers import single_block, two_summands
+from helpers import raises_without_warning, single_block, two_summands
 
 M2 = AlgebraDescriptor([2])
 
@@ -146,6 +146,21 @@ class TestFailClosed:
             op_norm(two_summands([[1.0]], [[bad]]))
         with pytest.raises(NonFinite):
             module_norm(ModuleElement(M2, [1], [np.array([[1.0, bad]])]))
+
+    def test_abs_value_raises_when_x_star_x_overflows(self):
+        raises_without_warning(lambda: abs_value(single_block([[1e200, 1.0], [0.0, 1.0]])))
+
+    def test_module_abs_raises_when_x_star_x_overflows(self):
+        x = ModuleElement(M2, [2], [np.array([[1e200, 1.0], [0.0, 1.0]])])
+        raises_without_warning(lambda: module_abs(x))
+
+    def test_re_part_raises_when_it_overflows(self):
+        x = single_block([[1.7e308, 0.0], [1.7e308, 1.0]])
+        raises_without_warning(lambda: re_part(x))
+
+    def test_im_part_raises_when_it_overflows(self):
+        x = single_block([[0.0, 1.7e308], [-1.7e308, 0.0]])
+        raises_without_warning(lambda: im_part(x))
 
     def test_norms_of_empty_blocks_are_zero(self):
         desc = AlgebraDescriptor([2, 1])

@@ -11,34 +11,21 @@ the benchmark run.  The tracer file is loaded read-only; nothing under
 """
 
 import contextlib
-import importlib.util
 import io
 import json
-import sys
 import time
 from pathlib import Path
 
 import cpdkernels
 import cpdkernels.cli  # noqa: F401  (the tracer wraps every module, the CLI too)
 from cpdkernels import AlgebraDescriptor, AlgebraElement, GenConfig
+from helpers import load_bench_module
 
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = keep
-    return module
 
 
 def test_every_route_runs_under_the_tracer_and_uninstalls():
-    spans = _load_spans()
+    spans = load_bench_module("spans")
     K = cpdkernels.random_non_cpd_kernel(
         GenConfig(seed=1, n=4, descriptor=AlgebraDescriptor([2, 1])))
     originals = (cpdkernels.is_positive_definite, cpdkernels.Kernel.is_hermitian)
@@ -88,7 +75,7 @@ def test_every_route_runs_under_the_tracer_and_uninstalls():
 
 
 def test_metric_commands_run_under_the_tracer(tmp_path):
-    spans = _load_spans()
+    spans = load_bench_module("spans")
     desc = AlgebraDescriptor([2, 1])
     dm = cpdkernels.random_metric(GenConfig(seed=1, n=5, descriptor=desc))
     path = tmp_path / "metric.json"
@@ -127,7 +114,7 @@ def test_metric_commands_run_under_the_tracer(tmp_path):
 
 
 def test_kernel_commands_run_under_the_tracer(tmp_path):
-    spans = _load_spans()
+    spans = load_bench_module("spans")
     cfg = GenConfig(seed=1, n=4, descriptor=AlgebraDescriptor([2, 2]))
     paths = {}
     for name, K in (("cpd", cpdkernels.random_cpd_kernel(cfg)),
@@ -155,9 +142,10 @@ def test_kernel_commands_run_under_the_tracer(tmp_path):
     ops = list(tracer.op)
     for name in ("serialize.load_document", "serialize.dump_json"):
         assert [op for n, op in zip(names, ops) if n == name] == [0, 1]
-    # The preconditions of the split take one batched 2-norm per summand;
-    # the verify block's two kernel_norm calls take the other four.
-    assert sum(1 for n, op in zip(names, ops) if n == "linalg.norm2" and op == 1) == 2 + 4
+    # The preconditions of the split take two batched 2-norms per summand,
+    # the entry norms (which the verify bound reads again from the table)
+    # and the skew parts; the verify block's error takes the other two.
+    assert sum(1 for n, op in zip(names, ops) if n == "linalg.norm2" and op == 1) == 4 + 2
 
     metrics = spans.layer_metrics(tracer, {"kernel": ("serialize.",)})
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -55,6 +55,7 @@ from helpers import (
     difference_basis,
     eigh_verdict,
     load_bench_module,
+    raises_without_warning,
     raw_scalar_kernel,
     reference_cauchy_schwarz_cpd,
     reference_cauchy_schwarz_pd,
@@ -866,14 +867,6 @@ class TestFamilyDecision:
 
 
 class TestFailClosed:
-    @staticmethod
-    def _raises_without_warning(decide):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(NonFinite):
-                decide()
-        assert [str(w.message) for w in caught] == []
-
     def test_overflowing_kernels_raise_instead_of_passing(self):
         for off in (1.7e308, -1.7e308):
             K = scalar_kernel([[1e308, off], [off, 1e308]])
@@ -883,7 +876,7 @@ class TestFailClosed:
                 lambda: is_positive_definite(shift_transform(K, "s1")),
                 lambda: cond_positive_matrix_check(K, 1),
             ):
-                self._raises_without_warning(decide)
+                raises_without_warning(decide)
 
     def test_an_overflow_after_a_margin_of_minus_one_raises(self):
         # Summand 0 fails at -1 on every route, so no later summand can be
@@ -900,19 +893,19 @@ class TestFailClosed:
             if b == -1e308:
                 decisions.append(lambda: is_positive_definite(shift_transform(K, "s1")))
             for decide in decisions:
-                self._raises_without_warning(decide)
+                raises_without_warning(decide)
         # Finite hermitian parts whose norm overflows: the bottom eigenvalue
         # of the second summand is -2.4e308, which only an eigensolver finds.
         K = Kernel._of(IndexSet(["s1", "s2", "s3"]), AlgebraDescriptor([1, 1]),
                        [np.diag([-3.0] * 3).astype(complex),
                         np.full((3, 3), -8e307, dtype=complex)])
-        self._raises_without_warning(lambda: is_positive_definite(K))
+        raises_without_warning(lambda: is_positive_definite(K))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_raise(self, bad):
         K = raw_scalar_kernel([[1.0, bad], [bad, 1.0]])
-        self._raises_without_warning(K.is_hermitian)
-        self._raises_without_warning(lambda: is_conditionally_positive_definite(K))
+        raises_without_warning(K.is_hermitian)
+        raises_without_warning(lambda: is_conditionally_positive_definite(K))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     def test_constructors_reject_non_finite_entries(self, bad):
