@@ -45,6 +45,8 @@ from .generators import (
 from .kernels import (
     Kernel,
     Verdict,
+    _psd_verdict,
+    assemble_gram,
     cond_positive_matrix_check,
     is_conditionally_positive_definite,
     is_positive_definite,
@@ -134,7 +136,8 @@ def _check_cpd(args, tol, K):
     if args.method == "compression":
         verdict = is_conditionally_positive_definite(K, tol, args.threads)
     elif args.method == "shift":
-        verdict = is_positive_definite(shift_transform(K, s0, tol), tol, args.threads)
+        assemble_gram(K, tol)  # validates K; its shift is then hermitian
+        verdict = _psd_verdict(shift_transform(K, s0, tol)._grams, tol)
     else:
         verdict = cond_positive_matrix_check(K, K.index_set.index(s0) + 1, tol)
     return verdict, {"method": args.method, "base_point": s0}, None
@@ -214,7 +217,7 @@ COMMANDS = {
             "help": "label used by the shift and corm methods (default: first label)"}),
         (("--method",), {
             "choices": ("compression", "shift", "corm"), "default": "compression",
-            "help": "decision route; compression and corm validate the kernel, shift its shift"}),
+            "help": "decision route; each validates K, then decides a matrix derived from it"}),
     )),
     "transform": _Command("base-point shift of a kernel", _transform, _INPUT, (_BASE_POINT,)),
     "decompose": _Command("factor a CPD kernel at a base point", _decompose, _INPUT, (

@@ -16,6 +16,7 @@ raw factor entries.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .kernels import (
     Kernel,
     Verdict,
     _assembled,
+    _Points,
     _cpd_input,
     _cpd_verdict,
     _shifted,
@@ -77,26 +79,31 @@ class Factorization:
     """Minimal factorization ``L(s,t) = V(s)* V(t)`` of a PD kernel.
 
     ``ranks[k]`` is the numerical rank of the k-th assembled Gram summand.
+    ``V`` may be given as any mapping from the labels to module elements; it
+    is held as a read-only mapping in set order, stored as arrays.
     """
 
     index_set: IndexSet
     descriptor: AlgebraDescriptor
     ranks: tuple[int, ...]
-    V: dict[str, ModuleElement]
+    V: Mapping[str, ModuleElement]
 
-    def stacked(self, k: int) -> np.ndarray:
-        """Horizontal concatenation of all V(s_i) blocks of summand k."""
-        return np.hstack([self.V[s].blocks[k] for s in self.index_set.labels])
+    def __post_init__(self):
+        object.__setattr__(self, "V", _Points.of(self.index_set, self.V))
 
 
 @dataclass(frozen=True, eq=False)
 class CPDDecomposition:
     """Kolmogorov-type decomposition of a CPD kernel at a base point:
-    ``K(s,t) = 2 V(s)*V(t) - V(s)*V(s) - V(t)*V(t) - h(s) - h(t)*``."""
+    ``K(s,t) = 2 V(s)*V(t) - V(s)*V(s) - V(t)*V(t) - h(s) - h(t)*``; ``h`` is
+    held as ``Factorization.V`` is."""
 
     factorization: Factorization
-    h: dict[str, AlgebraElement]
+    h: Mapping[str, AlgebraElement]
     base_point: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", _Points.of(self.factorization.index_set, self.h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,27 +151,16 @@ def factor_pd(
         verdict = is_positive_definite(L, tol)
         if not verdict.holds:
             raise PreconditionFailure("kernel is not positive definite", verdict)
-    dims, ranks, factors = L.descriptor.summand_dims, [], []
-    for w, u in (_top_eigenpairs(G, tol) for G in L._grams):
-        ranks.append(w.size)
-        factors.append(np.sqrt(w)[:, None] * u.conj().T)
-    # A label whose Gram diagonal block is exactly zero factors through the
-    # origin; snap it there so eigensolver noise cannot displace it.
-    for F, d, S in zip(factors, dims, L._stacks):
-        for i in range(L.n):
-            if not np.any(S[i, i]):
-                F[:, i * d : (i + 1) * d] = 0.0
-    V = {}
-    for i, s in enumerate(L.index_set.labels):
-        blocks = [F[:, i * d : (i + 1) * d] for F, d in zip(factors, dims)]
-        V[s] = ModuleElement(L.descriptor, ranks, blocks)
-    return Factorization(L.index_set, L.descriptor, tuple(ranks), V)
-
-
-def _points(fact: Factorization) -> list[np.ndarray]:
-    """Per summand, the ``V(s_i)`` blocks as one ``(n, r, d)`` array."""
-    return [np.array([fact.V[s].blocks[k] for s in fact.index_set.labels])
-            for k in range(fact.descriptor.num_summands)]
+    n, points = L.n, []
+    for S, d, G in zip(L._stacks, L.descriptor.summand_dims, L._grams):
+        w, u = _top_eigenpairs(G, tol)
+        X = (np.sqrt(w)[:, None] * u.conj().T).reshape(w.size, n, d).swapaxes(0, 1)
+        # A label whose Gram diagonal block is exactly zero factors through
+        # the origin; snap it there so eigensolver noise cannot displace it.
+        points.append(np.where(S[range(n), range(n)].any(axis=(1, 2))[:, None, None], X, 0.0))
+    ranks = tuple(X.shape[1] for X in points)
+    return Factorization(L.index_set, L.descriptor, ranks,
+                         _Points(L.index_set, L.descriptor, points, ranks))
 
 
 def _cross(X: np.ndarray, P=None) -> np.ndarray:
@@ -177,7 +173,7 @@ def _cross(X: np.ndarray, P=None) -> np.ndarray:
 def factor_kernel(fact: Factorization) -> Kernel:
     """The Gram kernel ``(s,t) -> V(s)* V(t)`` of a factorization."""
     return Kernel._of(fact.index_set, fact.descriptor,
-                      [_assembled(_cross(X)) for X in _points(fact)])
+                      [_assembled(_cross(X)) for X in fact.V._arrays])
 
 
 def _cpd_factor(K: Kernel, s0: str, tol: ToleranceConfig) -> Factorization:
@@ -202,20 +198,16 @@ def decompose_cpd(
     i0, n = K.index_set.index(s0), K.n
     H = [(-0.5) * S[range(n), range(n)] - 1j * ((S[:, i0] - S[:, i0].conj().swapaxes(1, 2)) / 2j)
          for S in K._stacks]  # im_part's arithmetic: the same bits
-    h = {s: AlgebraElement(K.descriptor, [X[i] for X in H])
-         for i, s in enumerate(K.index_set.labels)}
-    return CPDDecomposition(fact, h, s0)
+    return CPDDecomposition(fact, _Points(K.index_set, K.descriptor, H), s0)
 
 
 def reconstruct_cpd(dec: CPDDecomposition) -> Kernel:
     """Evaluate ``2 V(s)*V(t) - V(s)*V(s) - V(t)*V(t) - h(s) - h(t)*``."""
-    fact = dec.factorization
-    n, labels = fact.index_set.n, fact.index_set.labels
+    fact, n = dec.factorization, dec.factorization.index_set.n
     grams = []
-    for k, X in enumerate(_points(fact)):
+    for X, H in zip(fact.V._arrays, dec.h._arrays):
         C = _cross(X)
         D = C[range(n), range(n)]
-        H = np.array([dec.h[s].blocks[k] for s in labels])
         grams.append(_assembled(
             2.0 * C - D[:, None] - D[None, :] - H[:, None] - H.conj().swapaxes(-1, -2)[None, :]))
     return Kernel._of(fact.index_set, fact.descriptor, grams)
@@ -223,7 +215,7 @@ def reconstruct_cpd(dec: CPDDecomposition) -> Kernel:
 
 def sum_sq_diff_decomposition(
     K: Kernel, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[dict[str, AlgebraElement]]:
+) -> list[Mapping[str, AlgebraElement]]:
     """Split a self-adjoint, zero-diagonal conditionally positive table into
     families realizing ``K(s_i, s_j) = -sum_k |e_i^k - e_j^k|^2``.
 
@@ -232,7 +224,8 @@ def sum_sq_diff_decomposition(
     eigenvector block is lifted into the algebra through the fixed first-row
     embedding ``d_i = e_1 v_i*`` (any lifting with ``d_i* d_j = v_i v_j*``
     would do); the families are the lifted blocks scaled by ``1/sqrt(2)``.
-    Families are ordered by summand, then by descending eigenvalue.
+    Families are ordered by summand, then by descending eigenvalue; each is a
+    read-only mapping in set order, stored as arrays.
 
     Raises
     ------
@@ -251,17 +244,14 @@ def sum_sq_diff_decomposition(
     if not verdict.holds:
         raise PreconditionFailure("kernel is not conditionally positive definite", verdict)
 
-    desc = K.descriptor
-    families: list[dict[str, AlgebraElement]] = []
+    desc, families = K.descriptor, []
     for k, (d, G) in enumerate(zip(desc.summand_dims, K._grams)):
         w, u = _top_eigenpairs(_shifted(G, n, n - 1), tol)
-        zeros = [np.zeros((dk, dk)) for dk in desc.summand_dims]
         for alpha in range(w.size):
-            lifts = np.zeros((n, d, d), dtype=np.complex128)
-            lifts[:, 0] = (np.sqrt(w[alpha]) * u[:, alpha]).reshape(n, d).conj()
-            lifts /= np.sqrt(2.0)
-            families.append({s: AlgebraElement(desc, zeros[:k] + [lifts[i]] + zeros[k + 1 :])
-                             for i, s in enumerate(K.index_set.labels)})
+            arrays = [np.zeros((n, dk, dk), dtype=np.complex128) for dk in desc.summand_dims]
+            arrays[k][:, 0] = (np.sqrt(w[alpha]) * u[:, alpha]).reshape(n, d).conj()
+            arrays[k] /= np.sqrt(2.0)
+            families.append(_Points(K.index_set, desc, arrays))
     return families
 
 
@@ -270,12 +260,12 @@ def sum_sq_diff_reconstruct(
 ) -> Kernel:
     """Evaluate ``-sum_k |e_i^k - e_j^k|^2`` back into a kernel table; the
     inverse of ``sum_sq_diff_decomposition`` up to roundoff."""
-    n, labels = index_set.n, index_set.labels
+    n, families = index_set.n, [_Points.of(index_set, fam) for fam in families]
     grams = []
     for k, d in enumerate(descriptor.summand_dims):
         acc = np.zeros((n, n, d, d), dtype=np.complex128)
         for fam in families:
-            X = np.array([fam[s].blocks[k] for s in labels])
+            X = fam._arrays[k]
             delta = X[:, None] - X[None, :]
             acc = acc - delta.conj().swapaxes(-1, -2) @ delta
         grams.append(_assembled(acc))
@@ -304,7 +294,7 @@ def majorized_kernel(fact: Factorization, operator_blocks) -> Kernel:
         if p.shape != (r, r):
             raise DimensionMismatch("operator block does not match factor rank")
     grams = []
-    for X, p in zip(_points(fact), P):
+    for X, p in zip(fact.V._arrays, P):
         F = _cross(X, p)
         D = F[range(n), range(n)]
         grams.append(_assembled(2.0 * F - D[:, None] - D[None, :]))
@@ -364,8 +354,9 @@ def recover_contraction(
     fact, factp = _cpd_factor(K, s0, tol), _cpd_factor(Kp, s0, tol)
 
     W, residual, norm_W = [], 0.0, 0.0
-    for k in range(K.descriptor.num_summands):
-        vs, vps = fact.stacked(k), factp.stacked(k)
+    for X, Xp in zip(fact.V._arrays, factp.V._arrays):
+        # The V(s_i) blocks side by side, as one (r, n d) matrix.
+        vs, vps = (np.hstack(Y) for Y in (X, Xp))
         if vs.shape[0] == 0:
             wk = np.zeros((vps.shape[0], 0), dtype=np.complex128)
         else:
@@ -375,10 +366,7 @@ def recover_contraction(
         residual = max(residual, float(spectral_norms(vps - wk @ vs)))
 
     # 1 + max_s ||V'(s)||, by one batched SVD over the points of each summand.
-    scale_v = 1.0 + max(
-        float(spectral_norms(np.stack([factp.V[s].blocks[k] for s in K.index_set.labels])).max())
-        for k in range(K.descriptor.num_summands)
-    )
+    scale_v = 1.0 + max(float(spectral_norms(Xp).max()) for Xp in factp.V._arrays)
     loose = np.sqrt(tol.tol_rel)
     if residual > loose * scale_v:
         raise PreconditionFailure(

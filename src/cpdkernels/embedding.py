@@ -14,6 +14,7 @@ validates its output instead of trusting the construction.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .kernels import (
     Kernel,
     Verdict,
     Witness,
+    _Points,
     _Table,
     _assembled,
     _cpd_verdict,
@@ -206,23 +208,20 @@ class EmbeddingResult:
     base_point: str
 
     @property
-    def points(self) -> dict[str, ModuleElement]:
+    def points(self) -> Mapping[str, ModuleElement]:
         return self.factorization.V
 
     def realized_metric(self) -> CStarMetric:
         """Distances actually achieved by the embedded points."""
         fact = self.factorization
-        points = [fact.V[s] for s in fact.index_set.labels]
         return CStarMetric._of(fact.index_set, fact.descriptor,
-                               [_assembled(S) for S in _abs_differences(points)])
+                               [_assembled(S) for S in _abs_differences(fact.V)])
 
 
-def _abs_differences(points: list[ModuleElement]) -> list[np.ndarray]:
+def _abs_differences(points: _Points) -> list[np.ndarray]:
     """``module_abs(x_i - x_j)`` for every pair of points, one ``(n, n, d,
     d)`` stack per summand."""
-    stacks = (np.array([x.blocks[k] for x in points])
-              for k in range(points[0].descriptor.num_summands))
-    return [_abs(X[:, None] - X[None, :]) for X in stacks]
+    return [_abs(X[:, None] - X[None, :]) for X in points._arrays]
 
 
 def embed(
@@ -250,7 +249,7 @@ def embed(
 
 
 def distance_matrix_from_points(
-    points: dict[str, ModuleElement], tol: ToleranceConfig = DEFAULT_TOL
+    points: Mapping[str, ModuleElement], tol: ToleranceConfig = DEFAULT_TOL
 ) -> CStarMetric:
     """Distance table ``d(s,t) = |x_s - x_t|`` of a family of module points.
 
@@ -265,18 +264,14 @@ def distance_matrix_from_points(
         If two labels name coincident points or the triangle inequality
         fails.
     """
-    labels = list(points)
-    if not labels:
+    if not points:
         raise ValueError("at least one labeled point is required")
-    index_set = IndexSet(labels)
-    first = points[labels[0]]
-    for x in points.values():
-        first._check_compatible(x)
-    stacks = _abs_differences([points[s] for s in labels])
-    n = len(labels)
+    points = _Points.of(IndexSet(points), points)
+    labels, n = points.index_set.labels, len(points)
+    stacks = _abs_differences(points)
     for S in stacks:
         S[range(n), range(n)] = 0.0
-    dm = CStarMetric._of(index_set, first.descriptor, [_assembled(S) for S in stacks])
+    dm = CStarMetric._of(points.index_set, points.descriptor, [_assembled(S) for S in stacks])
     upper = np.triu_indices(n, 1)
     coincident = dm._norms[upper] <= tol.tol_rel * max(1.0, metric_norm(dm))
     if coincident.any():

@@ -22,6 +22,7 @@ from .kernels import (
     IndexSet,
     Kernel,
     _assembled,
+    _Points,
     assemble_gram,
     compressed_gram,
     kernel_norm,
@@ -293,10 +294,8 @@ def random_metric(cfg: GenConfig) -> CStarMetric:
         if not (gaps[np.triu_indices(cfg.n, 1)] > 1e-6 * cfg.magnitude).all():
             continue
         X = [_diag(Z) @ p for Z, p in zip(cores, frames)]
-        return distance_matrix_from_points({
-            label: ModuleElement(cfg.descriptor, dims, [x[i] for x in X])
-            for i, label in enumerate(_labels(cfg.n))
-        })
+        return distance_matrix_from_points(
+            _Points(IndexSet(_labels(cfg.n)), cfg.descriptor, X, dims))
     raise RuntimeError("rejection sampling failed to separate the points")
 
 

@@ -27,6 +27,7 @@ coefficients forces ``x* G x >= 0`` for every zero-sum vector tuple, i.e.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Number
@@ -38,6 +39,7 @@ from .algebra import (
     AlgebraDescriptor,
     AlgebraElement,
     DimensionMismatch,
+    ModuleElement,
     ToleranceConfig,
     _hermitian_part,
     _require_finite,
@@ -218,6 +220,50 @@ class _Table:
     def _check_compatible(self, other: _Table) -> None:
         if self.index_set != other.index_set or self.descriptor != other.descriptor:
             raise DimensionMismatch(f"{self._noun}s live on different sets or algebras")
+
+
+class _Points(Mapping):
+    """A read-only mapping from the labels of a set, in set order, to
+    elements: the storage of factor points, affine parts and families.
+
+    It holds one read-only ``(n, r_k, d_k)`` array per summand, taken over as
+    ``_Table`` takes its arrays; ``X_k[i]`` is block ``k`` of the element at
+    ``s_i``.  ``p[s]`` builds a ``ModuleElement`` of ``ranks``, or an
+    ``AlgebraElement`` when ``ranks`` is ``None``, over views of the arrays.
+    """
+
+    def __init__(self, index_set: IndexSet, descriptor: AlgebraDescriptor, arrays, ranks=None):
+        self.index_set, self.descriptor, self.ranks = index_set, descriptor, ranks
+        self._arrays = tuple(_owned(X) for X in arrays)
+        shapes = zip(descriptor.summand_dims if ranks is None else ranks, descriptor.summand_dims)
+        if [X.shape for X in self._arrays] != [(index_set.n, r, d) for r, d in shapes]:
+            raise DimensionMismatch("point arrays do not match the set and the algebra")
+
+    @classmethod
+    def of(cls, index_set: IndexSet, mapping) -> _Points:
+        """``mapping``'s elements at the labels of ``index_set``, stacked; all
+        must have the shape of the first.  A ``_Points`` is returned as it is."""
+        if isinstance(mapping, _Points):
+            return mapping
+        points = [mapping[s] for s in index_set.labels]
+        for x in points:
+            points[0]._check_compatible(x)
+        return cls(index_set, points[0].descriptor, map(np.array, zip(*(x.blocks for x in points))),
+                   getattr(points[0], "ranks", None))
+
+    def __getitem__(self, label: str):
+        try:
+            blocks = [X[self.index_set.labels.index(label)] for X in self._arrays]
+        except ValueError:
+            raise KeyError(label) from None
+        return (AlgebraElement(self.descriptor, blocks) if self.ranks is None
+                else ModuleElement(self.descriptor, self.ranks, blocks))
+
+    def __iter__(self):
+        return iter(self.index_set.labels)
+
+    def __len__(self) -> int:
+        return self.index_set.n
 
 
 class Kernel(_Table):
@@ -433,18 +479,14 @@ def shift_transform(K: Kernel, s0: str, tol: ToleranceConfig = DEFAULT_TOL) -> K
     return Kernel._of(K.index_set, K.descriptor, _require_finite(grams))
 
 
-def recover_affine_part(K: Kernel, s0: str) -> dict[str, AlgebraElement]:
-    """Map ``h(s) = K(s, s0) - K(s0, s0) / 2``.
+def recover_affine_part(K: Kernel, s0: str) -> Mapping[str, AlgebraElement]:
+    """Map ``h(s) = K(s, s0) - K(s0, s0) / 2``, read-only and in set order.
 
     When the shift transform of ``K`` at ``s0`` vanishes, ``K(s,t)`` equals
     ``h(s) + h(t)*``.
     """
     i0 = K.index_set.index(s0)
-    half_base = [0.5 * S[i0, i0] for S in K._stacks]
-    return {
-        s: AlgebraElement(K.descriptor, [S[i, i0] - h for S, h in zip(K._stacks, half_base)])
-        for i, s in enumerate(K.index_set.labels)
-    }
+    return _Points(K.index_set, K.descriptor, [S[:, i0] - 0.5 * S[i0, i0] for S in K._stacks])
 
 
 def cond_positive_matrix_check(

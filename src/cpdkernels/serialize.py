@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .decomposition import CPDDecomposition, Factorization, MajorizationCertificate
 from .embedding import CStarMetric, EmbeddingResult
-from .kernels import IndexSet, Kernel, Verdict, _assembled
+from .kernels import IndexSet, Kernel, Verdict, _assembled, _Points
 
 __all__ = [
     "SchemaError",
@@ -157,14 +157,9 @@ def _block_to_json(b: np.ndarray) -> list:
     return np.stack([b.real, b.imag], axis=-1).tolist()
 
 
-def _elements_to_json(elements: list) -> list:
-    """``element_to_json`` of each of ``elements`` (module elements too), by
-    one ``tolist`` per summand of their stacked blocks."""
-    if not elements:
-        return []
-    pairs = [_block_to_json(np.array([x.blocks[k] for x in elements]))
-             for k in range(len(elements[0].blocks))]
-    return [list(blocks) for blocks in zip(*pairs)]
+def _points_to_json(points: _Points) -> list:
+    """Each element of ``points`` in set order, by one ``tolist`` per summand."""
+    return [list(blocks) for blocks in zip(*map(_block_to_json, points._arrays))]
 
 
 def element_to_json(x: AlgebraElement) -> list:
@@ -213,15 +208,14 @@ def factorization_to_json(fact: Factorization) -> dict:
         "algebra": {"summands": list(fact.descriptor.summand_dims)},
         "set": list(fact.index_set.labels),
         "ranks": list(fact.ranks),
-        "points": _elements_to_json([fact.V[s] for s in fact.index_set.labels]),
+        "points": _points_to_json(fact.V),
     }
 
 
 def decomposition_to_json(dec: CPDDecomposition) -> dict:
-    fact = dec.factorization
     return {
-        "factorization": factorization_to_json(fact),
-        "affine": _elements_to_json([dec.h[s] for s in fact.index_set.labels]),
+        "factorization": factorization_to_json(dec.factorization),
+        "affine": _points_to_json(dec.h),
         "base_point": dec.base_point,
     }
 
@@ -245,9 +239,7 @@ def certificate_to_json(cert: MajorizationCertificate) -> dict:
 def families_to_json(families, index_set: IndexSet) -> list:
     """Families from the sum-of-squared-differences split, each rendered as
     one element per label in set order."""
-    n = index_set.n
-    flat = _elements_to_json([fam[s] for fam in families for s in index_set.labels])
-    return [flat[f * n : (f + 1) * n] for f in range(len(families))]
+    return [_points_to_json(_Points.of(index_set, fam)) for fam in families]
 
 
 def _expect(cond: bool, path: str, message: str) -> None:

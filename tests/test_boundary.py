@@ -97,7 +97,7 @@ class TestKernelA:
     def test_corm_exits_zero_and_shift_two(self, capsys, tmp_path):
         doc = kernel_to_json(kernel_a())
         assert run(capsys, tmp_path, doc, "check-cpd", "--method", "corm")[0] == 0
-        assert run(capsys, tmp_path, doc, "check-cpd", "--method", "shift")[0] == 2
+        assert run(capsys, tmp_path, doc, "check-cpd", "--method", "shift")[0] == 0
 
 
 class TestMetricB:
@@ -127,7 +127,7 @@ class TestKernelC:
     def test_corm_exits_two(self, capsys, tmp_path):
         doc = kernel_to_json(scalar_kernel(KERNEL_C))
         assert run(capsys, tmp_path, doc, "check-cpd", "--method", "corm")[0] == 2
-        assert run(capsys, tmp_path, doc, "check-cpd", "--method", "shift")[0] == 1
+        assert run(capsys, tmp_path, doc, "check-cpd", "--method", "shift")[0] == 2
 
 
 class TestErrorPrecedence:

@@ -17,6 +17,7 @@ from cpdkernels import (
     AlgebraDescriptor,
     AlgebraElement,
     GenConfig,
+    ModuleElement,
     dump_json,
     fixture,
     is_conditionally_positive_definite,
@@ -298,17 +299,23 @@ class TestInputHandling:
         assert "expected a kernel document (key 'values')" in err
 
     def test_metric_commands_build_no_elements(self, capsys, tmp_path, monkeypatch):
-        dm = random_metric(GenConfig(seed=1, n=10, descriptor=AlgebraDescriptor([2, 1])))
+        cfg = GenConfig(seed=1, n=10, descriptor=AlgebraDescriptor([2, 1]))
+        dm = random_metric(cfg)
         path = write_metric(tmp_path, dm)
+        cpd = write_kernel(tmp_path, random_cpd_kernel(cfg), "cpd.json")
+        diag = write_kernel(tmp_path, random_cpd_kernel(cfg, diagonal_zero=True), "diag.json")
+        K, Kp, s0 = random_majorized_pair(cfg)
+        big, small = write_kernel(tmp_path, K, "big.json"), write_kernel(tmp_path, Kp, "small.json")
         built = []
-        init = AlgebraElement.__init__
+        for cls in (AlgebraElement, ModuleElement):
+            def counted_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
 
-        def counted_init(self, *args, **kwargs):
-            built.append(type(self))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(AlgebraElement, "__init__", counted_init)
-        for argv in (["check-metric", path], ["embed", path, "--verify"]):
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        for argv in (["check-metric", path], ["embed", path, "--verify"],
+                     ["decompose", cpd, "--verify"], ["ssd-decompose", diag, "--verify"],
+                     ["majorize", big, small, "--base-point", s0]):
             code, _, _ = run(capsys, *argv)
             assert code == 0
         assert built == []

@@ -20,6 +20,7 @@ from cpdkernels import (
     PreconditionFailure,
     adjoint,
     decompose_cpd,
+    dump_json,
     factor_kernel,
     factor_pd,
     is_conditionally_positive_definite,
@@ -32,12 +33,14 @@ from cpdkernels import (
     random_gram_kernel,
     random_majorized_pair,
     reconstruct_cpd,
+    recover_affine_part,
     recover_contraction,
     scalar_kernel,
     shift_transform,
     sum_sq_diff_decomposition,
     sum_sq_diff_reconstruct,
 )
+from cpdkernels.serialize import decomposition_to_json, families_to_json
 from helpers import (
     KERNEL_DESCRIPTORS,
     reference_factor_kernel,
@@ -273,7 +276,8 @@ class TestBatchedPreconditions:
 
 class TestStackedReconstructions:
     """The kernels rebuilt from factors, on stacked blocks, against the
-    per-entry element arithmetic, bit for bit."""
+    per-entry element arithmetic, bit for bit, for the points a
+    decomposition returns and for the same points handed in as dicts."""
 
     @pytest.mark.parametrize("dims", KERNEL_DESCRIPTORS)
     def test_every_rebuilt_kernel_matches_the_entry_loop(self, dims):
@@ -283,15 +287,40 @@ class TestStackedReconstructions:
             K = random_cpd_kernel(cfg)
             dec = decompose_cpd(K, K.index_set.labels[-1])
             fact = dec.factorization
-            assert same_bits(factor_kernel(fact), reference_factor_kernel(fact))
-            assert same_bits(reconstruct_cpd(dec), reference_reconstruct_cpd(dec))
-            P = [np.full((r, r), 0.25 + 0.5j) for r in fact.ranks]
-            assert same_bits(majorized_kernel(fact, P), reference_majorized_kernel(fact, P))
+            hand = Factorization(fact.index_set, desc, fact.ranks, dict(fact.V))
+            hand_dec = CPDDecomposition(hand, dict(dec.h), dec.base_point)
             D = random_cpd_kernel(cfg, diagonal_zero=True)
             families = sum_sq_diff_decomposition(D)
-            assert same_bits(
-                sum_sq_diff_reconstruct(families, D.index_set, desc),
-                reference_sum_sq_diff_reconstruct(families, D.index_set, desc))
+            P = [np.full((r, r), 0.25 + 0.5j) for r in fact.ranks]
+            for f, d, fams in ((fact, dec, families),
+                               (hand, hand_dec, [dict(fam) for fam in families])):
+                assert same_bits(factor_kernel(f), reference_factor_kernel(fact))
+                assert same_bits(reconstruct_cpd(d), reference_reconstruct_cpd(dec))
+                assert same_bits(majorized_kernel(f, P), reference_majorized_kernel(fact, P))
+                assert same_bits(
+                    sum_sq_diff_reconstruct(fams, D.index_set, desc),
+                    reference_sum_sq_diff_reconstruct(families, D.index_set, desc))
+                assert (dump_json(decomposition_to_json(d))
+                        == dump_json(decomposition_to_json(dec)))
+                assert (dump_json(families_to_json(fams, D.index_set))
+                        == dump_json(families_to_json(families, D.index_set)))
+
+    def test_points_are_read_only_mappings_over_the_arrays(self):
+        cfg = GenConfig(seed=1, n=3, descriptor=AlgebraDescriptor([2, 1]))
+        K = random_cpd_kernel(cfg)
+        dec = decompose_cpd(K, "s2")
+        families = sum_sq_diff_decomposition(random_cpd_kernel(cfg, diagonal_zero=True))
+        for points in (dec.factorization.V, dec.h, recover_affine_part(K, "s2"), *families):
+            assert "zz" not in points
+            with pytest.raises(KeyError):
+                points["zz"]
+            assert list(points) == ["s1", "s2", "s3"]
+            with pytest.raises(TypeError):
+                points["s1"] = points["s2"]
+            for i, s in enumerate(points):
+                for block, X in zip(points[s].blocks, points._arrays, strict=True):
+                    assert np.array_equal(block, X[i])
+                    assert not block.flags.writeable and np.shares_memory(block, X)
 
 
 class TestKernelLeq:

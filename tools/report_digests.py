@@ -1,0 +1,136 @@
+"""Digest the command-line reports of one checkout over a fixed corpus.
+
+    python tools/report_digests.py SRC OUT.json
+
+Imports ``cpdkernels`` from ``SRC/src``, generates the corpus with that
+checkout, runs every command through ``cli.main`` in-process with
+``--no-timings``, and writes one SHA-256 per command, of its exit code,
+standard output, standard error and the warnings it raised, to ``OUT.json``.
+Two checkouts give the same bytes exactly where their digest files agree
+under ``diff``.
+
+The corpus: gram, cpd, cpd-diag, hermitian, non-cpd and metric documents
+from ``gen`` and the pair of ``random_majorized_pair``, over summands
+``[1]``, ``[2,1]``, ``[8,8]``, ``[3,2]``, n in {2, 3, 6, 10} and seeds
+{1, 9001}; on each kernel document ``check-pd``, ``check-cpd`` by each
+method, ``transform``, ``ssd-decompose --verify`` and ``decompose --verify``
+at the first and the last label; on each metric ``check-metric`` and
+``embed --verify`` at the first and the last label; ``majorize`` on the pair
+in both orders; the same commands on the four fixtures, and the demo.
+Documents are written to a temporary directory and named relative to it,
+so no path enters a report.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+DIMS = ("1", "2,1", "8,8", "3,2")
+SIZES = (2, 3, 6, 10)
+SEEDS = (1, 9001)
+CLASSES = ("gram", "cpd", "cpd-diag", "hermitian", "non-cpd", "metric")
+
+
+def digest(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+def main(src: str, out: str) -> int:
+    sys.path.insert(0, str(Path(src, "src").resolve()))
+    from cpdkernels import AlgebraDescriptor, GenConfig, random_majorized_pair
+    from cpdkernels.cli import main as cli
+    from cpdkernels.generators import FIXTURE_NAMES
+    from cpdkernels.serialize import dump_json, kernel_to_json
+
+    digests = {}
+
+    def run(name: str, *argv: str) -> str:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            try:
+                code = cli(["--no-timings", *argv])
+            except SystemExit as exc:  # argparse refusing the arguments
+                code = exc.code
+        seen = [f"{w.category.__name__}: {w.message}" for w in caught]
+        digests[name] = digest(code, stdout.getvalue(), stderr.getvalue(), seen)
+        return stdout.getvalue()
+
+    def write(path: str, text: str) -> str | None:
+        """Write a generated document; ``None`` when generation failed."""
+        if not text:
+            return None
+        Path(path).write_text(text, encoding="utf-8")
+        return path
+
+    def on_kernel(path: str) -> None:
+        last = json.loads(Path(path).read_text(encoding="utf-8"))["set"][-1]
+        run(f"{path} check-pd", "check-pd", path)
+        for method in ("compression", "shift", "corm"):
+            run(f"{path} check-cpd {method}", "check-cpd", "--method", method, path)
+        run(f"{path} transform", "transform", path)
+        run(f"{path} ssd-decompose", "ssd-decompose", "--verify", path)
+        run(f"{path} decompose first", "decompose", "--verify", path)
+        run(f"{path} decompose last", "decompose", "--verify", "--base-point", last, path)
+
+    def on_metric(path: str) -> None:
+        last = json.loads(Path(path).read_text(encoding="utf-8"))["set"][-1]
+        run(f"{path} check-metric", "check-metric", path)
+        run(f"{path} embed first", "embed", "--verify", path)
+        run(f"{path} embed last", "embed", "--verify", "--base-point", last, path)
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for dims in DIMS:
+                for n in SIZES:
+                    for seed in SEEDS:
+                        tag = f"{dims}-n{n}-s{seed}"
+                        for klass in CLASSES:
+                            name = f"{klass}-{tag}.json"
+                            text = run(f"gen {name}", "gen", klass, "--seed", str(seed),
+                                       "--n", str(n), "--dims", dims)
+                            if write(name, text):
+                                (on_metric if klass == "metric" else on_kernel)(name)
+                        cfg = GenConfig(seed=seed, n=n, descriptor=AlgebraDescriptor(
+                            [int(d) for d in dims.split(",")]))
+                        try:
+                            K, Kp, s0 = random_majorized_pair(cfg)
+                        except ValueError as exc:
+                            digests[f"pair-{tag}"] = digest(repr(exc))
+                            continue
+                        big, small = f"pair-K-{tag}.json", f"pair-Kp-{tag}.json"
+                        for path, kernel in ((big, K), (small, Kp)):
+                            write(path, dump_json(kernel_to_json(kernel)))
+                            digests[f"gen {path}"] = digest(Path(path).read_text())
+                            on_kernel(path)
+                        run(f"majorize {tag}", "majorize", "--base-point", s0, big, small)
+                        run(f"majorize reversed {tag}", "majorize", "--base-point", s0,
+                            small, big)
+            for fixture in FIXTURE_NAMES:
+                name = f"{fixture}.json"
+                text = run(f"gen {name}", "gen", fixture)
+                if write(name, text):
+                    (on_metric if '"metric"' in text else on_kernel)(name)
+            run("demo schur-counterexample", "demo", "schur-counterexample")
+        finally:
+            os.chdir(home)
+    Path(out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(digests)} digests written to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(*sys.argv[1:]))
