@@ -4,7 +4,9 @@ The algebra is a direct sum of full complex matrix algebras.  An element is a
 list of square complex blocks, one per summand; every operation acts blockwise.
 Module elements (rectangular blocks over the same summand structure) model
 elements of the column Hilbert C*-module, with the algebra-valued inner product
-``<x, y> = x* y`` taken per block.
+``<x, y> = x* y`` taken per block.  The algebra is a module over itself: an
+``AlgebraElement`` is the ``ModuleElement`` whose ranks are the summand sizes,
+and the module functions accept it.
 
 Positivity is decided by hermitian eigendecomposition with a relative
 tolerance: an element passes if it is hermitian within ``tol_rel`` and every
@@ -14,6 +16,8 @@ kernel tests, ``worst_psd_defect`` tries Cholesky on each summand shifted by
 minus the shift); by its backward error (Higham, 2002, ch. 10) success
 proves a pass.  Else ``eigvalsh`` decides, or ``eigh`` near the threshold; a
 margin of -1 ends the pass, and only the reported summand gets a witness.
+``psd_margins`` decides a whole family of stacks, one per summand, by
+batched ``eigh``: it serves the per-pair and metric checks.
 """
 
 from __future__ import annotations
@@ -142,79 +146,20 @@ class AlgebraDescriptor:
 
 
 @dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """An element of the algebra: one square complex block per summand."""
-
-    descriptor: AlgebraDescriptor
-    blocks: tuple[np.ndarray, ...]
-
-    def __init__(self, descriptor: AlgebraDescriptor, blocks):
-        blocks = tuple(_freeze(b) for b in blocks)
-        if len(blocks) != descriptor.num_summands:
-            raise DimensionMismatch(
-                f"expected {descriptor.num_summands} blocks, got {len(blocks)}"
-            )
-        for k, (b, d) in enumerate(zip(blocks, descriptor.summand_dims)):
-            if b.shape != (d, d):
-                raise DimensionMismatch(
-                    f"block {k} has shape {b.shape}, expected ({d}, {d})"
-                )
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "blocks", blocks)
-
-    @classmethod
-    def zero(cls, descriptor: AlgebraDescriptor) -> AlgebraElement:
-        return cls(descriptor, [np.zeros((d, d)) for d in descriptor.summand_dims])
-
-    @classmethod
-    def identity(cls, descriptor: AlgebraDescriptor) -> AlgebraElement:
-        return cls(descriptor, [np.eye(d) for d in descriptor.summand_dims])
-
-    def _check_compatible(self, other: AlgebraElement) -> None:
-        if self.descriptor != other.descriptor:
-            raise DimensionMismatch("descriptors differ")
-
-    def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        self._check_compatible(other)
-        return AlgebraElement(
-            self.descriptor, [a + b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        self._check_compatible(other)
-        return AlgebraElement(
-            self.descriptor, [a - b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.descriptor, [-a for a in self.blocks])
-
-    def __mul__(self, scalar) -> AlgebraElement:
-        if not isinstance(scalar, Number):
-            return NotImplemented
-        return AlgebraElement(self.descriptor, [scalar * a for a in self.blocks])
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: AlgebraElement) -> AlgebraElement:
-        """Algebra product: blockwise matrix multiplication."""
-        self._check_compatible(other)
-        return AlgebraElement(
-            self.descriptor, [a @ b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class ModuleElement:
     """An element of the column module: one ``r_k x d_k`` block per summand.
 
     The k-th block is a point of the module ``A_k^{r_k}`` over the k-th matrix
-    summand; ``module_inner`` recovers the algebra-valued inner product.
+    summand; ``module_inner`` recovers the algebra-valued inner product.  The
+    blockwise ``+``, ``-``, negation and scalar ``*`` return the left
+    operand's class.
     """
 
     descriptor: AlgebraDescriptor
     ranks: tuple[int, ...]
     blocks: tuple[np.ndarray, ...]
+
+    _mismatch = "module elements have different shapes"
 
     def __init__(self, descriptor: AlgebraDescriptor, ranks, blocks):
         ranks = tuple(int(r) for r in ranks)
@@ -240,37 +185,64 @@ class ModuleElement:
             [np.zeros((r, d)) for r, d in zip(ranks, descriptor.summand_dims)],
         )
 
+    def _like(self, blocks) -> ModuleElement:
+        """An element of ``self``'s class, descriptor and ranks with ``blocks``."""
+        if isinstance(self, AlgebraElement):
+            return AlgebraElement(self.descriptor, blocks)
+        return ModuleElement(self.descriptor, self.ranks, blocks)
+
     def _check_compatible(self, other: ModuleElement) -> None:
         if self.descriptor != other.descriptor or self.ranks != other.ranks:
-            raise DimensionMismatch("module elements have different shapes")
+            raise DimensionMismatch(self._mismatch)
 
     def __add__(self, other: ModuleElement) -> ModuleElement:
         self._check_compatible(other)
-        return ModuleElement(
-            self.descriptor,
-            self.ranks,
-            [a + b for a, b in zip(self.blocks, other.blocks)],
-        )
+        return self._like([a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other: ModuleElement) -> ModuleElement:
         self._check_compatible(other)
-        return ModuleElement(
-            self.descriptor,
-            self.ranks,
-            [a - b for a, b in zip(self.blocks, other.blocks)],
-        )
+        return self._like([a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self) -> ModuleElement:
-        return ModuleElement(self.descriptor, self.ranks, [-a for a in self.blocks])
+        return self._like([-a for a in self.blocks])
 
     def __mul__(self, scalar) -> ModuleElement:
         if not isinstance(scalar, Number):
             return NotImplemented
-        return ModuleElement(
-            self.descriptor, self.ranks, [scalar * a for a in self.blocks]
-        )
+        return self._like([scalar * a for a in self.blocks])
 
     __rmul__ = __mul__
+
+
+@dataclass(frozen=True, eq=False)
+class AlgebraElement(ModuleElement):
+    """An element of the algebra: one square complex block per summand.  The
+    algebra is a module over itself, ``<a, b> = a* b``, so an element is the
+    module element whose ``ranks`` are the summand sizes."""
+
+    _mismatch = "descriptors differ"
+
+    def __init__(self, descriptor: AlgebraDescriptor, blocks):
+        blocks = tuple(_freeze(b) for b in blocks)
+        if len(blocks) != descriptor.num_summands:
+            raise DimensionMismatch(f"expected {descriptor.num_summands} blocks, got {len(blocks)}")
+        for k, (b, d) in enumerate(zip(blocks, descriptor.summand_dims)):
+            if b.shape != (d, d):
+                raise DimensionMismatch(f"block {k} has shape {b.shape}, expected ({d}, {d})")
+        super().__init__(descriptor, descriptor.summand_dims, blocks)
+
+    @classmethod
+    def zero(cls, descriptor: AlgebraDescriptor) -> AlgebraElement:
+        return cls(descriptor, [np.zeros((d, d)) for d in descriptor.summand_dims])
+
+    @classmethod
+    def identity(cls, descriptor: AlgebraDescriptor) -> AlgebraElement:
+        return cls(descriptor, [np.eye(d) for d in descriptor.summand_dims])
+
+    def __matmul__(self, other: AlgebraElement) -> AlgebraElement:
+        """Algebra product: blockwise matrix multiplication."""
+        self._check_compatible(other)
+        return self._like([a @ b for a, b in zip(self.blocks, other.blocks)])
 
 
 def adjoint(x: AlgebraElement) -> AlgebraElement:
@@ -423,37 +395,38 @@ def hermitian_defects(stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> 
     return spectral_norms(skew) > tol.tol_rel * np.maximum(1.0, spectral_norms(stack))
 
 
-def psd_margins(stack: np.ndarray, scale=None):
-    """Positivity margins of the hermitian parts of a ``(..., k, k)`` stack,
-    by one batched ``eigh`` (the same bits as one per matrix; ``eigvalsh``
-    differs): the bottom eigenvalues, the margins ``lambda_min / max(1,
-    scale)``, and a function from a stack index to that matrix's bottom unit
-    eigenvector, the witness.  ``scale`` broadcasts against the leading axes
-    and defaults to each matrix's ``max |lambda|``.  Fails closed: a
-    non-finite hermitian part or eigenvalue raises ``NonFinite``."""
-    h = _require_finite([_hermitian_part(stack)], "a matrix")[0]
-    w, u = np.linalg.eigh(h)
-    w = _require_finite([w], "a matrix")[0]
-    lam = w[..., 0]
-    floor = np.maximum(1.0, np.abs(w).max(axis=-1) if scale is None else scale)
-    return lam, lam / floor, lambda index: u[index][:, 0].copy()
+def psd_margins(stacks, tol: ToleranceConfig = DEFAULT_TOL, scale=None):
+    """Decide a family: the hermitian parts of one ``(..., k, k)`` stack per
+    summand, all with the same leading shape, by one batched ``eigh`` per
+    stack (the same bits as one per matrix; ``eigvalsh`` differs).  A
+    matrix's margin is ``lambda_min / max(1, scale)``, ``scale`` broadcast
+    against the leading axes or, by default, the matrix's ``max |lambda|``.
+    Per leading index: whether some summand's margin is below ``-tol_rel``,
+    the lowest margin, and a function from the index to the witness
+    ``(summand, lambda, v)`` of the first summand at that margin, ``v`` its
+    bottom unit eigenvector.  Fails closed: a non-finite hermitian part or
+    eigenvalue raises ``NonFinite``."""
+    found = []
+    for stack in stacks:
+        h = _require_finite([_hermitian_part(stack)], "a matrix")[0]
+        w, u = np.linalg.eigh(h)
+        w = _require_finite([w], "a matrix")[0]
+        floor = np.maximum(1.0, np.abs(w).max(axis=-1) if scale is None else scale)
+        found.append((w[..., 0], w[..., 0] / floor, u))
+    margins = np.stack([m for _, m, _ in found], axis=-1)
+    margin = margins.min(axis=-1)
+
+    def witness(index):
+        k = int(np.argmin(margins[index]))
+        lam, _, u = found[k]
+        return k, float(lam[index]), u[index][:, 0].copy()
+
+    return margin < -tol.tol_rel, margin, witness
 
 
 def leq(x: AlgebraElement, y: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Order relation ``x <= y`` in the positive cone: ``y - x`` positive."""
     return is_positive(y - x, tol)
-
-
-def abs_value(x: AlgebraElement) -> AlgebraElement:
-    """Absolute value ``|x| = (x* x)^(1/2)``, blockwise principal root; an
-    overflow raises ``NonFinite``."""
-    return AlgebraElement(x.descriptor, [_abs(b) for b in x.blocks])
-
-
-def op_norm(x: AlgebraElement) -> float:
-    """C*-norm: the largest singular value over all blocks; an infinite or
-    NaN entry raises ``NonFinite``."""
-    return max(float(spectral_norms(b)) for b in x.blocks)
 
 
 def re_part(x: AlgebraElement) -> AlgebraElement:
@@ -479,12 +452,17 @@ def module_inner(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
 
 
 def module_abs(x: ModuleElement) -> AlgebraElement:
-    """Module absolute value ``|x| = <x, x>^(1/2)``; an overflow raises
-    ``NonFinite``."""
+    """Module absolute value ``|x| = <x, x>^(1/2)``, the blockwise principal
+    root; an overflow raises ``NonFinite``."""
     return AlgebraElement(x.descriptor, [_abs(b) for b in x.blocks])
 
 
 def module_norm(x: ModuleElement) -> float:
-    """Module norm ``||x|| = ||<x, x>||^(1/2)``: largest singular value; an
-    infinite or NaN entry raises ``NonFinite``."""
+    """Module norm ``||x|| = ||<x, x>||^(1/2)``: the largest singular value
+    over all blocks; an infinite or NaN entry raises ``NonFinite``."""
     return max(float(spectral_norms(b)) for b in x.blocks)
+
+
+# The algebra is a module over itself: on an algebra element, the module
+# absolute value is ``(x* x)^(1/2)`` and the module norm is the C*-norm.
+abs_value, op_norm = module_abs, module_norm

@@ -79,8 +79,9 @@ class Factorization:
     """Minimal factorization ``L(s,t) = V(s)* V(t)`` of a PD kernel.
 
     ``ranks[k]`` is the numerical rank of the k-th assembled Gram summand.
-    ``V`` may be given as any mapping from the labels to module elements; it
-    is held as a read-only mapping in set order, stored as arrays.
+    ``V`` may be given as any mapping from the labels to module elements of
+    ``descriptor`` and ``ranks``; it is held as a read-only mapping in set
+    order, stored as arrays.
     """
 
     index_set: IndexSet
@@ -89,21 +90,27 @@ class Factorization:
     V: Mapping[str, ModuleElement]
 
     def __post_init__(self):
-        object.__setattr__(self, "V", _Points.of(self.index_set, self.V))
+        V, ranks = _Points.of(self.index_set, self.V), tuple(int(r) for r in self.ranks)
+        if (V.descriptor, V.ranks or V.descriptor.summand_dims) != (self.descriptor, ranks):
+            raise DimensionMismatch("factor points do not match the descriptor and the ranks")
+        object.__setattr__(self, "V", V)
 
 
 @dataclass(frozen=True, eq=False)
 class CPDDecomposition:
     """Kolmogorov-type decomposition of a CPD kernel at a base point:
-    ``K(s,t) = 2 V(s)*V(t) - V(s)*V(s) - V(t)*V(t) - h(s) - h(t)*``; ``h`` is
-    held as ``Factorization.V`` is."""
+    ``K(s,t) = 2 V(s)*V(t) - V(s)*V(s) - V(t)*V(t) - h(s) - h(t)*``; ``h``, of
+    elements of the factorization's algebra, is held as ``Factorization.V`` is."""
 
     factorization: Factorization
     h: Mapping[str, AlgebraElement]
     base_point: str
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _Points.of(self.factorization.index_set, self.h))
+        h, desc = _Points.of(self.factorization.index_set, self.h), self.factorization.descriptor
+        if (h.descriptor, h.ranks or h.descriptor.summand_dims) != (desc, desc.summand_dims):
+            raise DimensionMismatch("affine part is not of the factorization's algebra")
+        object.__setattr__(self, "h", h)
 
 
 @dataclass(frozen=True, eq=False)

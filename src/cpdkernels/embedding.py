@@ -109,23 +109,15 @@ def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verd
     in an axiom's arithmetic (an overflow) raises ``NonFinite``.
     """
     labels, n, stacks, norms = dm.index_set.labels, dm.n, dm._stacks, dm._norms
-    entries = [psd_margins(S, norms) for S in stacks]
-    margins = np.stack([m for _, m, _ in entries], axis=-1)
+    negative, _, witness = psd_margins(stacks, tol, norms)
     skew = np.any([hermitian_defects(S, tol) for S in stacks], axis=0)
-    bad = skew | (margins.min(axis=-1) < -tol.tol_rel)
-    if bad.any():
+    if (bad := skew | negative).any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         if skew[i, j]:
-            return Verdict(
-                False, None, context=f"value at ({labels[i]}, {labels[j]}) is not self-adjoint"
-            )
-        k = int(np.argmin(margins[i, j]))
-        lam, _, vector = entries[k]
-        return Verdict(
-            False,
-            Witness(k, float(lam[i, j]), vector((i, j))),
-            context=f"value at ({labels[i]}, {labels[j]}) is not positive",
-        )
+            return Verdict(False, None,
+                           context=f"value at ({labels[i]}, {labels[j]}) is not self-adjoint")
+        return Verdict(False, Witness(*witness((i, j))),
+                       context=f"value at ({labels[i]}, {labels[j]}) is not positive")
     cut = tol.tol_rel * max(1.0, float(norms.max()))
     upper = np.triu_indices(n, 1)
     asym = np.max([spectral_norms(S[upper] - S[upper[::-1]]) for S in stacks], axis=0)
@@ -143,18 +135,11 @@ def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verd
     with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
         slacks = [(S[i, u] + S[u, j]) - S[i, j] for S in stacks]
     scale = np.max([spectral_norms(T) for T in slacks], axis=0)
-    triangles = [psd_margins(T, scale) for T in slacks]
-    margins = np.stack([m for _, m, _ in triangles], axis=-1)
-    if margins.size:
-        t, k = np.unravel_index(np.argmin(margins), margins.shape)
-        if margins[t, k] < -tol.tol_rel:
-            lam, _, vector = triangles[k]
-            return Verdict(
-                False,
-                Witness(int(k), float(lam[t]), vector(t)),
-                context=(f"triangle inequality fails for "
-                         f"({labels[i[t]]}, {labels[u[t]]}, {labels[j[t]]})"),
-            )
+    fails, margin, witness = psd_margins(slacks, tol, scale)
+    if fails.any():
+        t = int(np.argmin(margin))
+        return Verdict(False, Witness(*witness(t)), context=(
+            f"triangle inequality fails for ({labels[i[t]]}, {labels[u[t]]}, {labels[j[t]]})"))
     return Verdict(True)
 
 

@@ -241,15 +241,18 @@ class _Points(Mapping):
 
     @classmethod
     def of(cls, index_set: IndexSet, mapping) -> _Points:
-        """``mapping``'s elements at the labels of ``index_set``, stacked; all
-        must have the shape of the first.  A ``_Points`` is returned as it is."""
-        if isinstance(mapping, _Points):
+        """``mapping``'s elements at the labels of ``index_set``, stacked; its
+        labels must be the set's, and all elements must have the shape of the
+        first.  A ``_Points`` over ``index_set`` is returned as it is."""
+        if set(mapping) != set(index_set.labels):
+            raise DimensionMismatch("point labels differ from the set's")
+        if isinstance(mapping, _Points) and mapping.index_set == index_set:
             return mapping
         points = [mapping[s] for s in index_set.labels]
         for x in points:
             points[0]._check_compatible(x)
         return cls(index_set, points[0].descriptor, map(np.array, zip(*(x.blocks for x in points))),
-                   getattr(points[0], "ranks", None))
+                   None if isinstance(points[0], AlgebraElement) else points[0].ranks)
 
     def __getitem__(self, label: str):
         try:
@@ -535,14 +538,11 @@ def _pairwise_verdict(diffs: list[np.ndarray], labels, tol: ToleranceConfig) -> 
         return Verdict(
             False, None, context=f"non-hermitian difference at ({labels[i]}, {labels[j]})"
         )
-    found = [psd_margins(D) for D in diffs]
-    margins = np.stack([m for _, m, _ in found], axis=-1)
-    i, j, k = np.unravel_index(np.argmin(margins), margins.shape)
-    if margins[i, j, k] >= -tol.tol_rel:
+    fails, margin, witness = psd_margins(diffs, tol)
+    if not fails.any():
         return Verdict(True)
-    lam, _, vector = found[k]
-    return Verdict(False, Witness(int(k), float(lam[i, j]), vector((i, j))),
-                   context=f"pair ({labels[i]}, {labels[j]})")
+    i, j = np.unravel_index(np.argmin(margin), margin.shape)
+    return Verdict(False, Witness(*witness((i, j))), context=f"pair ({labels[i]}, {labels[j]})")
 
 
 def cauchy_schwarz_cpd_check(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:

@@ -17,6 +17,7 @@ from cpdkernels import (
     ToleranceConfig,
     abs_value,
     adjoint,
+    decompose_cpd,
     im_part,
     is_positive,
     leq,
@@ -24,9 +25,11 @@ from cpdkernels import (
     module_inner,
     module_norm,
     op_norm,
+    random_cpd_kernel,
     random_module_element,
     random_positive_two_by_two,
     re_part,
+    recover_affine_part,
     two_by_two_check,
 )
 from helpers import raises_without_warning, single_block, two_summands
@@ -59,17 +62,54 @@ class TestDescriptor:
 
 class TestElementConstruction:
     def test_block_count_must_match_descriptor(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^expected 1 blocks, got 2$"):
             AlgebraElement(M2, [np.eye(2), np.eye(2)])
 
     def test_block_shape_must_match_descriptor(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^block 0 has shape \(3, 3\), expected \(2, 2\)$"):
             AlgebraElement(M2, [np.eye(3)])
+
+    def test_module_block_shape_must_match_ranks(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^module block 1 has shape \(2, 2\), expected \(1, 2\)$"):
+            ModuleElement(AlgebraDescriptor([1, 2]), [3, 1], [np.zeros((3, 1)), np.eye(2)])
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y,
+        lambda x, y: module_inner(x, y)])
+    def test_algebra_mismatch_says_descriptors_differ(self, op):
+        x, y = single_block(np.eye(2)), two_summands(np.eye(2), np.eye(2))
+        with pytest.raises(DimensionMismatch, match=r"^descriptors differ$"):
+            op(x, y)
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y, lambda x, y: x - y, lambda x, y: module_inner(x, y)])
+    @pytest.mark.parametrize("ranks", [[2], [1, 1]])
+    def test_module_mismatch_says_shapes_differ(self, op, ranks):
+        x = ModuleElement.zero(AlgebraDescriptor([1]), [1])
+        y = ModuleElement.zero(AlgebraDescriptor([1] * len(ranks)), ranks)
+        with pytest.raises(DimensionMismatch, match=r"^module elements have different shapes$"):
+            op(x, y)
 
     def test_blocks_are_frozen(self):
         x = single_block([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             x.blocks[0][0, 0] = 5.0
+
+    def test_an_algebra_element_is_the_square_module_element(self):
+        desc = AlgebraDescriptor([2, 3])
+        x = AlgebraElement.identity(desc)
+        assert isinstance(x, ModuleElement) and x.ranks == desc.summand_dims
+
+    @pytest.mark.parametrize("x", [
+        two_summands([[1.0, 2.0], [3.0, 4.0]], [[5.0j]]),
+        ModuleElement(AlgebraDescriptor([2, 1]), [3, 1], [np.ones((3, 2)), [[5.0j]]])])
+    def test_arithmetic_keeps_the_operand_class(self, x):
+        for y in (x + x, x - x, -x, 2 * x, x * 2.0):
+            assert type(y) is type(x) and y.ranks == x.ranks
+        assert np.array_equal((2 * x - x).blocks[1], x.blocks[1])
+        assert np.array_equal((-x).blocks[0], -x.blocks[0])
 
     def test_arithmetic_requires_equal_descriptors(self):
         x = single_block(np.eye(2))
@@ -216,6 +256,15 @@ class TestAbsValue:
         assert op_norm(square - target) <= 1e-9 * scale
 
 
+    @given(seed=seeds, desc=descriptors)
+    def test_module_abs_of_an_algebra_element_is_its_abs_value(self, seed, desc):
+        x = random_module_element(GenConfig(seed=seed, n=2, descriptor=desc))
+        a = AlgebraElement(desc, x.blocks)
+        assert type(module_abs(a)) is AlgebraElement
+        for got, want in zip(module_abs(a).blocks, abs_value(a).blocks, strict=True):
+            assert np.array_equal(got, want)
+
+
 class TestOpNorm:
     def test_identity(self):
         assert op_norm(AlgebraElement.identity(M2)) == pytest.approx(1.0)
@@ -241,6 +290,13 @@ class TestOpNorm:
 
         x, y = draw(), draw()
         assert op_norm(x @ y) <= op_norm(x) * op_norm(y) + 1e-9
+
+
+    @given(seed=seeds, desc=descriptors)
+    def test_module_norm_of_an_algebra_element_is_its_op_norm(self, seed, desc):
+        x = random_module_element(GenConfig(seed=seed, n=2, descriptor=desc))
+        a = AlgebraElement(desc, x.blocks)
+        assert module_norm(a) == op_norm(a)
 
 
 class TestCartesianParts:
@@ -299,6 +355,20 @@ class TestModuleInner:
         y = ModuleElement(desc, [3], [np.zeros((3, 1))])
         with pytest.raises(DimensionMismatch):
             module_inner(x, y)
+
+    @given(seed=seeds, desc=descriptors)
+    def test_inner_of_algebra_elements_is_the_adjoint_product(self, seed, desc):
+        cfg = GenConfig(seed=seed, n=2, descriptor=desc)
+        a, b = (AlgebraElement(desc, random_module_element(cfg, i).blocks) for i in (0, 1))
+        for got, want in zip(module_inner(a, b).blocks, (adjoint(a) @ b).blocks, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_affine_parts_are_algebra_elements(self):
+        desc = AlgebraDescriptor([2, 1])
+        K = random_cpd_kernel(GenConfig(seed=3, n=3, descriptor=desc))
+        for h in (decompose_cpd(K, "s1").h, recover_affine_part(K, "s2")):
+            for x in h.values():
+                assert type(x) is AlgebraElement and x.ranks == desc.summand_dims
 
     def test_module_abs_and_norm_agree(self):
         x = random_module_element(random_cfg(9, AlgebraDescriptor([2, 1])))

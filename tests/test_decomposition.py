@@ -322,6 +322,33 @@ class TestStackedReconstructions:
                     assert np.array_equal(block, X[i])
                     assert not block.flags.writeable and np.shares_memory(block, X)
 
+    def test_points_must_match_the_ranks(self):
+        fact = factor_pd(scalar_kernel(np.eye(2)))
+        assert fact.ranks == (2,)
+        with pytest.raises(DimensionMismatch, match="ranks"):
+            Factorization(fact.index_set, fact.descriptor, (1,), dict(fact.V))
+        Factorization(fact.index_set, fact.descriptor, [np.int64(2)], dict(fact.V))
+
+    def test_labels_must_be_the_sets(self):
+        cfg = GenConfig(seed=1, n=3, descriptor=AlgebraDescriptor([2, 1]))
+        dec = decompose_cpd(random_cpd_kernel(cfg), "s2")
+        fact = dec.factorization
+        extra_V = {**fact.V, "zz": fact.V["s1"]}
+        missing_h = {s: dec.h[s] for s in ("s1", "s2")}
+        with pytest.raises(DimensionMismatch, match="labels"):
+            Factorization(fact.index_set, fact.descriptor, fact.ranks, extra_V)
+        for h in ({**dec.h, "zz": dec.h["s1"]}, missing_h):
+            with pytest.raises(DimensionMismatch, match="labels"):
+                CPDDecomposition(fact, h, dec.base_point)
+
+    def test_affine_part_must_be_of_the_algebra(self):
+        desc = AlgebraDescriptor([2, 1])
+        dec = decompose_cpd(random_cpd_kernel(GenConfig(seed=1, n=3, descriptor=desc)), "s1")
+        flat = ModuleElement(desc, [1, 1], [np.ones((1, 2)), np.ones((1, 1))])
+        for x in (flat, AlgebraElement.zero(AlgebraDescriptor([1]))):
+            with pytest.raises(DimensionMismatch, match="affine part"):
+                CPDDecomposition(dec.factorization, {s: x for s in dec.h}, "s1")
+
 
 class TestKernelLeq:
     def test_reflexive(self):

@@ -15,8 +15,10 @@ from ``gen`` and the pair of ``random_majorized_pair``, over summands
 {1, 9001}; on each kernel document ``check-pd``, ``check-cpd`` by each
 method, ``transform``, ``ssd-decompose --verify`` and ``decompose --verify``
 at the first and the last label; on each metric ``check-metric`` and
-``embed --verify`` at the first and the last label; ``majorize`` on the pair
-in both orders; the same commands on the four fixtures, and the demo.
+``embed --verify`` at the first and the last label, and ``check-metric`` and
+``embed --verify`` on copies of it that each break one axiom (see
+``BREAKS``); ``majorize`` on the pair in both orders; the same commands on
+the four fixtures, and the demo.
 Documents are written to a temporary directory and named relative to it,
 so no path enters a report.
 """
@@ -33,10 +35,37 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 DIMS = ("1", "2,1", "8,8", "3,2")
 SIZES = (2, 3, 6, 10)
 SEEDS = (1, 9001)
 CLASSES = ("gram", "cpd", "cpd-diag", "hermitian", "non-cpd", "metric")
+
+# Each break maps entries (i, j) of a metric document to a change of every
+# summand's block there; "negative-identity" ties the summands' margins, and
+# "triangle" needs three labels.
+BREAKS = {
+    "non-self-adjoint": {(0, 1): lambda B: B + 1j * np.eye(len(B))},
+    "negative": {(0, 1): lambda B: -(B + np.eye(len(B))),
+                 (1, 0): lambda B: -(B + np.eye(len(B)))},
+    "negative-identity": {(0, 1): lambda B: -np.eye(len(B)), (1, 0): lambda B: -np.eye(len(B))},
+    "asymmetric": {(0, 1): lambda B: B + np.eye(len(B))},
+    "diagonal": {(0, 0): lambda B: np.eye(len(B))},
+    "zero-distance": {(0, 1): lambda B: 0 * B, (1, 0): lambda B: 0 * B},
+    "triangle": {(0, 1): lambda B: 1e3 * B, (1, 0): lambda B: 1e3 * B},
+}
+
+
+def broken(doc: dict, edits: dict) -> dict:
+    """A copy of metric document ``doc`` with ``edits`` applied."""
+    doc = json.loads(json.dumps(doc))
+    for (i, j), edit in edits.items():
+        for k, raw in enumerate(doc["metric"][i][j]):
+            raw = np.array(raw, dtype=float)
+            B = edit(raw[..., 0] + 1j * raw[..., 1])
+            doc["metric"][i][j][k] = np.stack([B.real, B.imag], axis=-1).tolist()
+    return doc
 
 
 def digest(*parts) -> str:
@@ -88,6 +117,14 @@ def main(src: str, out: str) -> int:
         run(f"{path} embed first", "embed", "--verify", path)
         run(f"{path} embed last", "embed", "--verify", "--base-point", last, path)
 
+    def on_broken(path: str) -> None:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        for how, edits in BREAKS.items():
+            if how != "triangle" or len(doc["set"]) > 2:
+                copy = write(f"{how}-{path}", json.dumps(broken(doc, edits)))
+                run(f"{copy} check-metric", "check-metric", copy)
+                run(f"{copy} embed", "embed", "--verify", copy)
+
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -102,6 +139,8 @@ def main(src: str, out: str) -> int:
                                        "--n", str(n), "--dims", dims)
                             if write(name, text):
                                 (on_metric if klass == "metric" else on_kernel)(name)
+                                if klass == "metric":
+                                    on_broken(name)
                         cfg = GenConfig(seed=seed, n=n, descriptor=AlgebraDescriptor(
                             [int(d) for d in dims.split(",")]))
                         try:
