@@ -16,8 +16,8 @@ kernel tests, ``worst_psd_defect`` tries Cholesky on each summand shifted by
 minus the shift); by its backward error (Higham, 2002, ch. 10) success
 proves a pass.  Else ``eigvalsh`` decides, or ``eigh`` near the threshold; a
 margin of -1 ends the pass, and only the reported summand gets a witness.
-``psd_margins`` decides a whole family of stacks, one per summand, by
-batched ``eigh``: it serves the per-pair and metric checks.
+``psd_margins`` decides a family of stacks, one per summand, for the per-pair
+and metric checks: the same Cholesky, batched, passes it, else batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -265,11 +265,11 @@ def is_positive(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def _cholesky_passes(H: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Sufficient test that hermitian ``H`` of order ``N`` passes the rule
-    ``lambda_min >= -tol_rel * max(1, max |lambda|)``.
+    """Sufficient test that hermitian ``H`` of order ``N``, or each matrix of a
+    ``(..., N, N)`` stack, passes ``lambda_min >= -tol_rel * max(1, max |lambda|)``.
 
-    ``s_lo = max(1, max |H_ii|)`` is at most the rule's scale, since a
-    hermitian diagonal lies within the spectrum.  If Cholesky runs to
+    ``s_lo = max(1, max |H_ii|)``, per matrix, is at most the rule's scale,
+    since a hermitian diagonal lies within the spectrum.  If Cholesky runs to
     completion on ``A = H + c tol_rel s_lo I``, then ``R* R = A + E`` with
     ``|E| <= g |R*| |R|``, ``g = gamma_{N+1}`` (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, Thm 10.3; ``g = 4 (N+1) u`` is
@@ -280,13 +280,13 @@ def _cholesky_passes(H: np.ndarray, tol: ToleranceConfig) -> bool:
     the shift and the eigensolver's backward error (``N u ||H||``).  At
     ``tol_rel = 1e-9`` that is ``N <= 1060``; above it the eigensolver decides.
     """
-    N, c = H.shape[0], 0.5  # c: the share of tol_rel spent on the shift
+    N, c = H.shape[-1], 0.5  # c: the share of tol_rel spent on the shift
     u = np.finfo(np.float64).eps / 2
     g = 4 * (N + 1) * u
     if g * N * (1 + c * tol.tol_rel) / (1 - g) + 2 * N * u > (1 - c) * tol.tol_rel:
         return False
-    s_lo = max(1.0, float(np.abs(np.diagonal(H)).max()))
-    if np.diagonal(H).real.min() + (shift := c * tol.tol_rel * s_lo) <= 0:
+    s_lo = np.maximum(1.0, np.abs(diag := np.diagonal(H, axis1=-2, axis2=-1)).max(axis=-1))
+    if (diag.real.min(axis=-1) + (shift := c * tol.tol_rel * s_lo) <= 0).any():
         return False  # a pivot is at most its diagonal entry: it would fail
     try:
         np.linalg.cholesky(_shift_diagonal(H, shift))
@@ -295,10 +295,10 @@ def _cholesky_passes(H: np.ndarray, tol: ToleranceConfig) -> bool:
     return True
 
 
-def _shift_diagonal(H: np.ndarray, c: float) -> np.ndarray:
-    """``H + c I`` in fresh memory, by an add on the diagonal of a copy."""
+def _shift_diagonal(H: np.ndarray, c) -> np.ndarray:
+    """``H + c I`` in fresh memory, ``c`` broadcast against a stack's leading axes."""
     A = H.astype(np.result_type(H, 1.0))
-    A.reshape(-1)[:: A.shape[0] + 1] += c
+    np.einsum("...ii->...i", A)[...] += np.expand_dims(c, -1)
     return A
 
 
@@ -395,23 +395,25 @@ def hermitian_defects(stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> 
     return spectral_norms(skew) > tol.tol_rel * np.maximum(1.0, spectral_norms(stack))
 
 
-def psd_margins(stacks, tol: ToleranceConfig = DEFAULT_TOL, scale=None):
+def psd_margins(stacks, tol: ToleranceConfig = DEFAULT_TOL, by_norm: bool = False):
     """Decide a family: the hermitian parts of one ``(..., k, k)`` stack per
-    summand, all with the same leading shape, by one batched ``eigh`` per
-    stack (the same bits as one per matrix; ``eigvalsh`` differs).  A
-    matrix's margin is ``lambda_min / max(1, scale)``, ``scale`` broadcast
-    against the leading axes or, by default, the matrix's ``max |lambda|``.
-    Per leading index: whether some summand's margin is below ``-tol_rel``,
-    the lowest margin, and a function from the index to the witness
-    ``(summand, lambda, v)`` of the first summand at that margin, ``v`` its
-    bottom unit eigenvector.  Fails closed: a non-finite hermitian part or
-    eigenvalue raises ``NonFinite``."""
+    summand, all with the same leading shape.  All pass if ``_cholesky_passes``
+    passes each stack; else one batched ``eigh`` per stack (the same bits as
+    one per matrix) gives each matrix the margin ``lambda_min / max(1, s)``,
+    ``s`` its ``max |lambda|`` or, ``by_norm``, its element's C*-norm (the
+    largest 2-norm over summands).  Per leading index: whether some summand's
+    margin is below ``-tol_rel``, the lowest margin (``None`` on a pass), and
+    the witness ``(summand, lambda, v)``, ``v`` a bottom unit eigenvector, of
+    the first summand at it, as a function of the index.  Fails closed: a
+    non-finite hermitian part or eigenvalue raises ``NonFinite``."""
+    parts = _require_finite([_hermitian_part(S) for S in stacks], "a matrix")
+    if all(_cholesky_passes(h, tol) for h in parts):
+        return np.zeros(parts[0].shape[:-2], dtype=bool), None, None
+    norm = np.max([spectral_norms(S) for S in stacks], axis=0) if by_norm else None
     found = []
-    for stack in stacks:
-        h = _require_finite([_hermitian_part(stack)], "a matrix")[0]
-        w, u = np.linalg.eigh(h)
-        w = _require_finite([w], "a matrix")[0]
-        floor = np.maximum(1.0, np.abs(w).max(axis=-1) if scale is None else scale)
+    for w, u in map(np.linalg.eigh, parts):
+        _require_finite([w], "a matrix")
+        floor = np.maximum(1.0, np.abs(w).max(axis=-1) if norm is None else norm)
         found.append((w[..., 0], w[..., 0] / floor, u))
     margins = np.stack([m for _, m, _ in found], axis=-1)
     margin = margins.min(axis=-1)

@@ -107,6 +107,7 @@ class CPDDecomposition:
     base_point: str
 
     def __post_init__(self):
+        self.factorization.index_set.index(self.base_point)  # UnknownLabel if absent
         h, desc = _Points.of(self.factorization.index_set, self.h), self.factorization.descriptor
         if (h.descriptor, h.ranks or h.descriptor.summand_dims) != (desc, desc.summand_dims):
             raise DimensionMismatch("affine part is not of the factorization's algebra")

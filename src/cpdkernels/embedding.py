@@ -105,11 +105,12 @@ def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verd
     summand innermost, the worst margin winning and the first one on a tie.
     An entry is scaled by its own C*-norm, a triangle by the C*-norm of its
     slack ``(d(i,u) + d(u,j)) - d(i,j)``, and the other axioms by the largest
-    entry norm.  Fails closed: an infinite or NaN value in the table or met
-    in an axiom's arithmetic (an overflow) raises ``NonFinite``.
+    entry norm.  Entries and triangles pass by batched Cholesky; eigenvalues and
+    scales are computed only to report a failure.  Fails closed: an infinite or
+    NaN value in the table or its arithmetic (an overflow) raises ``NonFinite``.
     """
-    labels, n, stacks, norms = dm.index_set.labels, dm.n, dm._stacks, dm._norms
-    negative, _, witness = psd_margins(stacks, tol, norms)
+    labels, n, stacks = dm.index_set.labels, dm.n, dm._stacks
+    negative, _, witness = psd_margins(stacks, tol, by_norm=True)
     skew = np.any([hermitian_defects(S, tol) for S in stacks], axis=0)
     if (bad := skew | negative).any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -118,8 +119,8 @@ def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verd
                            context=f"value at ({labels[i]}, {labels[j]}) is not self-adjoint")
         return Verdict(False, Witness(*witness((i, j))),
                        context=f"value at ({labels[i]}, {labels[j]}) is not positive")
+    norms, upper = dm._norms, np.triu_indices(n, 1)
     cut = tol.tol_rel * max(1.0, float(norms.max()))
-    upper = np.triu_indices(n, 1)
     asym = np.max([spectral_norms(S[upper] - S[upper[::-1]]) for S in stacks], axis=0)
     for failed, where, context in (
         (asym > cut, upper, "symmetry fails at ({}, {})"),
@@ -132,10 +133,9 @@ def validate_metric(dm: CStarMetric, tol: ToleranceConfig = DEFAULT_TOL) -> Verd
     i, j, u = np.indices((n, n, n)).reshape(3, -1)
     keep = (i != j) & (u != i) & (u != j)
     i, j, u = i[keep], j[keep], u[keep]
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by spectral_norms
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by psd_margins
         slacks = [(S[i, u] + S[u, j]) - S[i, j] for S in stacks]
-    scale = np.max([spectral_norms(T) for T in slacks], axis=0)
-    fails, margin, witness = psd_margins(slacks, tol, scale)
+    fails, margin, witness = psd_margins(slacks, tol, by_norm=True)
     if fails.any():
         t = int(np.argmin(margin))
         return Verdict(False, Witness(*witness(t)), context=(
@@ -191,6 +191,9 @@ class EmbeddingResult:
 
     factorization: Factorization
     base_point: str
+
+    def __post_init__(self):
+        self.factorization.index_set.index(self.base_point)  # UnknownLabel if absent
 
     @property
     def points(self) -> Mapping[str, ModuleElement]:

@@ -174,6 +174,12 @@ def reference_psd_verdict(mats, tol=DEFAULT_TOL) -> Verdict:
     return Verdict(False, Witness(k, lam, vec))
 
 
+# Relative margins, in tolerances, at which tests place a bottom eigenvalue:
+# clear passes, both sides of the threshold -1 and of the Cholesky shift, and
+# clear failures.
+MARGINS = (10.0, 2.0, 1.1, 0.9, 0.5, -0.5, -0.9, -1.1, -2.0, -10.0)
+
+
 def eigh_verdict(mats, tol=DEFAULT_TOL) -> Verdict:
     """PSD verdict from full eigendecompositions only: the worst relative
     margin over the summands, with that summand's bottom eigenpair."""

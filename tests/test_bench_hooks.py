@@ -78,9 +78,14 @@ def test_metric_commands_run_under_the_tracer(tmp_path):
     spans = load_bench_module("spans")
     desc = AlgebraDescriptor([2, 1])
     dm = cpdkernels.random_metric(GenConfig(seed=1, n=5, descriptor=desc))
-    path = tmp_path / "metric.json"
-    path.write_text(cpdkernels.dump_json(cpdkernels.metric_to_json(dm)), encoding="utf-8")
-    commands = (["check-metric", str(path)], ["embed", str(path), "--verify"])
+    values = [list(row) for row in dm.values]
+    values[0][2] = values[2][0] = 5.0 * values[0][2]
+    far = cpdkernels.CStarMetric(dm.index_set, desc, values)
+    path, broken = tmp_path / "metric.json", tmp_path / "triangle.json"
+    for table, where in ((dm, path), (far, broken)):
+        where.write_text(cpdkernels.dump_json(cpdkernels.metric_to_json(table)), encoding="utf-8")
+    commands = (["check-metric", str(path)], ["embed", str(path), "--verify"],
+                ["check-metric", str(broken)])
     tracer = spans.Tracer()
     uninstall = spans.install(tracer)
     codes = []
@@ -95,15 +100,17 @@ def test_metric_commands_run_under_the_tracer(tmp_path):
             tracer.active = False
     finally:
         uninstall()
-    assert codes == [0, 0]
+    assert codes == [0, 0, 1]
 
     names = [tracer.names[i] for i in tracer.name]
     ops = list(tracer.op)
     validated = [op for name, op in zip(names, ops) if name == "embedding.validate_metric"]
-    assert validated == [0, 1]
-    # One batched eigh per summand for the entries and one for the triangles.
-    check_eighs = sum(1 for name, op in zip(names, ops) if name == "linalg.eigh" and op == 0)
-    assert check_eighs == 2 * desc.num_summands
+    assert validated == [0, 1, 2]
+    # A batched Cholesky passes the entries and the triangles; only a failing
+    # axiom, here the triangles, runs one batched eigh per summand.
+    eighs = [sum(1 for name, o in zip(names, ops) if name == "linalg.eigh" and o == op)
+             for op in (0, 2)]
+    assert eighs == [0, desc.num_summands]
 
     metrics = spans.layer_metrics(tracer, {"metric": ("embedding.validate_metric",)})
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))

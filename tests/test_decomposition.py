@@ -18,6 +18,7 @@ from cpdkernels import (
     Kernel,
     ModuleElement,
     PreconditionFailure,
+    UnknownLabel,
     adjoint,
     decompose_cpd,
     dump_json,
@@ -340,6 +341,12 @@ class TestStackedReconstructions:
         for h in ({**dec.h, "zz": dec.h["s1"]}, missing_h):
             with pytest.raises(DimensionMismatch, match="labels"):
                 CPDDecomposition(fact, h, dec.base_point)
+
+    def test_base_point_must_be_a_label(self):
+        cfg = GenConfig(seed=1, n=3, descriptor=AlgebraDescriptor([2, 1]))
+        dec = decompose_cpd(random_cpd_kernel(cfg), "s2")
+        with pytest.raises(UnknownLabel, match="zz"):
+            CPDDecomposition(dec.factorization, dict(dec.h), "zz")
 
     def test_affine_part_must_be_of_the_algebra(self):
         desc = AlgebraDescriptor([2, 1])

@@ -10,15 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpdkernels import (
+    DEFAULT_TOL,
     AlgebraDescriptor,
     AlgebraElement,
     CStarMetric,
+    EmbeddingResult,
     GenConfig,
     IndexSet,
     InvalidMetric,
     ModuleElement,
     NonFinite,
     PreconditionFailure,
+    UnknownLabel,
     compressed_gram,
     distance_matrix_from_points,
     embed,
@@ -36,6 +39,7 @@ from cpdkernels import (
     validate_metric,
 )
 from helpers import (
+    MARGINS,
     equal_distance_metric,
     overflow_metric,
     reference_validate_metric,
@@ -201,6 +205,34 @@ class TestStackedAxioms:
         assert verdict.witness.summand == 0
         assert same_verdict(verdict, reference_validate_metric(dm))
 
+    @pytest.mark.parametrize("margin", MARGINS)
+    @pytest.mark.parametrize("dims", [[1], [2, 1]])
+    def test_entries_and_triangles_at_the_threshold(self, dims, margin):
+        # Triangle (p0, p2, p1) has slack ``margin * tol_rel`` on every
+        # summand, its scale 1.  Over [2, 1] entry (p0, p1) is also
+        # ``[2 I, margin * tol_rel * 2]``, its scale 2; a [1] entry is its
+        # own scale, so it cannot sit near the threshold and stay a distance.
+        eps = margin * DEFAULT_TOL.tol_rel
+        tables = [equal_distance_metric([[0, 2 - eps, 1], [2 - eps, 0, 1], [1, 1, 0]], dims)]
+        if dims == [2, 1]:
+            def shade(table):
+                table[0][1] = table[1][0] = [2 * np.eye(2), np.array([[2 * eps]])]
+            tables.append(_edited(equal_distance_metric(2 * (1 - np.eye(3)), dims), shade))
+        for dm in tables:
+            verdict = validate_metric(dm)
+            assert verdict.holds == (margin > -1)
+            assert same_verdict(verdict, reference_validate_metric(dm))
+
+    def test_a_passing_metric_runs_no_eigensolver_and_no_triangle_norms(self, monkeypatch):
+        dm = random_metric(GenConfig(seed=3, n=5, descriptor=AlgebraDescriptor([2, 1])))
+        seen, eigh, norm = [], np.linalg.eigh, np.linalg.norm
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: seen.append("eigh") or eigh(*a, **k))
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x, *a, **k: seen.append(np.shape(x)) or norm(x, *a, **k))
+        assert validate_metric(dm).holds
+        assert "eigh" not in seen
+        assert all(len(shape) < 3 or shape[0] != 5 * 4 * 3 for shape in seen)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_tables_without_triangles(self, n):
         dm = scalar_metric(np.ones((n, n)) - np.eye(n))
@@ -318,6 +350,11 @@ class TestEmbed:
         verdict = exc.value.verdict
         assert verdict is not None
         assert verdict.witness.eigenvalue <= -0.1
+
+    def test_base_point_must_be_a_label(self):
+        result = embed(COLLINEAR, "p1")
+        with pytest.raises(UnknownLabel, match="zz"):
+            EmbeddingResult(result.factorization, "zz")
 
     def test_invalid_metric_is_rejected(self):
         dm = scalar_metric([[0.0, 0.0], [0.0, 0.0]])

@@ -51,6 +51,7 @@ from cpdkernels.algebra import _BAND, _cholesky_passes
 from cpdkernels.kernels import _psd_verdict
 from helpers import (
     KERNEL_DESCRIPTORS,
+    MARGINS,
     block_kernel,
     difference_basis,
     eigh_verdict,
@@ -600,8 +601,6 @@ class TestCholeskyPassTest:
     """The Cholesky-first verdict against an eigensolver-only verdict on
     kernels whose compressions sit at chosen relative margins."""
 
-    MARGINS = (10.0, 2.0, 1.1, 0.9, 0.5, -0.5, -0.9, -1.1, -2.0, -10.0)
-
     @staticmethod
     def _at_margin(K, margin):
         """Move every summand's bottom compressed eigenvalue to
@@ -656,6 +655,20 @@ class TestCholeskyPassTest:
             K = self._at_margin(random_cpd_kernel(cfg), margin)
             for C in compressed_gram(K):
                 assert _cholesky_passes(0.5 * (C + C.conj().T), DEFAULT_TOL)
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_a_stack_passes_iff_each_of_its_matrices_does(self, margin):
+        # Each matrix sits at ``margin`` or at a clear pass, drawn at random.
+        rng = np.random.default_rng(17)
+        for lead, d in (((6,), 3), ((2, 3), 2), ((5,), 1), ((0,), 4)):
+            Z = rng.normal(size=lead + (d, d)) + 1j * rng.normal(size=lead + (d, d))
+            w, u = np.linalg.eigh(Z @ Z.conj().swapaxes(-1, -2))
+            at = rng.choice([margin, 10.0], size=lead)
+            w[..., 0] = at * DEFAULT_TOL.tol_rel * np.maximum(1.0, w[..., -1])
+            stack = (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
+            stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+            each = [_cholesky_passes(h, DEFAULT_TOL) for h in stack.reshape(-1, d, d)]
+            assert _cholesky_passes(stack, DEFAULT_TOL) == all(each)
 
     def test_large_orders_go_to_the_eigensolver(self):
         # Beyond N = 1060 at tol_rel = 1e-9 the backward error bound no longer
@@ -759,7 +772,7 @@ class TestInverseIterationWitness:
             if not verdict.holds:
                 assert checker.decision(K, route, False, verdict) is None
 
-    @pytest.mark.parametrize("margin", TestCholeskyPassTest.MARGINS)
+    @pytest.mark.parametrize("margin", MARGINS)
     def test_every_witness_rechecks(self, margin):
         checker = load_bench_module("check").Checker()
         for i, dims in enumerate(KERNEL_DESCRIPTORS):
@@ -787,7 +800,7 @@ class TestFamilyDecision:
 
     _counted = staticmethod(TestInverseIterationWitness._counted)
 
-    @pytest.mark.parametrize("margin", TestCholeskyPassTest.MARGINS)
+    @pytest.mark.parametrize("margin", MARGINS)
     def test_every_route_equals_the_reference(self, margin):
         for i, dims in enumerate(KERNEL_DESCRIPTORS):
             cfg = GenConfig(seed=200 + i, n=2 + i % 4, descriptor=AlgebraDescriptor(dims))

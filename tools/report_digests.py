@@ -17,7 +17,8 @@ method, ``transform``, ``ssd-decompose --verify`` and ``decompose --verify``
 at the first and the last label; on each metric ``check-metric`` and
 ``embed --verify`` at the first and the last label, and ``check-metric`` and
 ``embed --verify`` on copies of it that each break one axiom (see
-``BREAKS``); ``majorize`` on the pair in both orders; the same commands on
+``BREAKS``) and on copies placed at the positivity threshold (see
+``MARGINS``); ``majorize`` on the pair in both orders; the same commands on
 the four fixtures, and the demo.
 Documents are written to a temporary directory and named relative to it,
 so no path enters a report.
@@ -56,16 +57,66 @@ BREAKS = {
     "triangle": {(0, 1): lambda B: 1e3 * B, (1, 0): lambda B: 1e3 * B},
 }
 
+# Each placed copy of a metric document puts the bottom eigenvalue of every
+# summand of one matrix at ``m * TOL_REL`` times that matrix's C*-norm, so its
+# relative margin is ``m`` tolerances: the matrix is entry (0, 1) and (1, 0),
+# or, with three labels or more, the slack ``d(0,u) + d(u,1) - d(0,1)`` of the
+# tightest triangle over (0, 1), placed by moving d(0, 1).  Positivity holds
+# down to ``m = -1``; the Cholesky pass test decides clear passes, ``eigh`` the
+# rest, so these copies cross the line between the two.
+MARGINS = (2.0, 0.5, -0.5, -0.9, -1.1, -2.0)
+TOL_REL = 1e-9  # the default tolerance, which every command here runs at
+
+
+def blocks(doc: dict, i: int, j: int) -> list[np.ndarray]:
+    """Entry ``(i, j)`` of metric document ``doc``, one complex block per summand."""
+    raws = [np.array(raw, dtype=float) for raw in doc["metric"][i][j]]
+    return [raw[..., 0] + 1j * raw[..., 1] for raw in raws]
+
+
+def edited(doc: dict, entries: dict) -> dict:
+    """A copy of metric document ``doc`` with ``entries``, ``{(i, j): blocks}``, written in."""
+    doc = json.loads(json.dumps(doc))
+    for (i, j), mats in entries.items():
+        doc["metric"][i][j] = [np.stack([B.real, B.imag], axis=-1).tolist() for B in mats]
+    return doc
+
 
 def broken(doc: dict, edits: dict) -> dict:
     """A copy of metric document ``doc`` with ``edits`` applied."""
-    doc = json.loads(json.dumps(doc))
-    for (i, j), edit in edits.items():
-        for k, raw in enumerate(doc["metric"][i][j]):
-            raw = np.array(raw, dtype=float)
-            B = edit(raw[..., 0] + 1j * raw[..., 1])
-            doc["metric"][i][j][k] = np.stack([B.real, B.imag], axis=-1).tolist()
-    return doc
+    return edited(doc, {ij: [edit(B) for B in blocks(doc, *ij)] for ij, edit in edits.items()})
+
+
+def spectra(mats: list[np.ndarray]) -> list:
+    """``eigh`` of the hermitian part of each block."""
+    return [np.linalg.eigh(0.5 * (B + B.conj().T)) for B in mats]
+
+
+def at_margin(mats: list[np.ndarray], m: float) -> list[np.ndarray]:
+    """``mats`` with each bottom eigenvalue moved to ``m * TOL_REL * s``, ``s =
+    max(1, largest other |eigenvalue|)``, about the C*-norm of the result."""
+    eigs = spectra(mats)
+    s = max(1.0, *(np.abs(w[1:]).max(initial=0.0) for w, _ in eigs))
+    return [B + (m * TOL_REL * s - w[0]) * np.outer(u[:, 0], u[:, 0].conj())
+            for B, (w, u) in zip(mats, eigs)]
+
+
+def placed(doc: dict, m: float, triangle: bool) -> dict:
+    """A copy of metric document ``doc`` placed at margin ``m`` (see ``MARGINS``)."""
+    if not triangle:
+        return edited(doc, {ij: at_margin(blocks(doc, *ij), m) for ij in ((0, 1), (1, 0))})
+    sides, slacks = {}, {}
+    for u in range(2, len(doc["set"])):
+        sides[u] = [a + b for a, b in zip(blocks(doc, 0, u), blocks(doc, u, 1))]
+        slacks[u] = [ab - c for ab, c in zip(sides[u], blocks(doc, 0, 1))]
+
+    def margin(u: int) -> float:
+        w = [w for w, _ in spectra(slacks[u])]
+        return min(x[0] for x in w) / max(1.0, *(np.abs(x).max() for x in w))
+
+    u = min(slacks, key=margin)
+    far = [ab - t for ab, t in zip(sides[u], at_margin(slacks[u], m))]
+    return edited(doc, {(0, 1): far, (1, 0): far})
 
 
 def digest(*parts) -> str:
@@ -122,6 +173,12 @@ def main(src: str, out: str) -> int:
         for how, edits in BREAKS.items():
             if how != "triangle" or len(doc["set"]) > 2:
                 copy = write(f"{how}-{path}", json.dumps(broken(doc, edits)))
+                run(f"{copy} check-metric", "check-metric", copy)
+                run(f"{copy} embed", "embed", "--verify", copy)
+        for m in MARGINS:
+            for triangle in (False, True)[: 1 + (len(doc["set"]) > 2)]:
+                where = "triangle" if triangle else "entry"
+                copy = write(f"{where}{m:+}-{path}", json.dumps(placed(doc, m, triangle)))
                 run(f"{copy} check-metric", "check-metric", copy)
                 run(f"{copy} embed", "embed", "--verify", copy)
 
