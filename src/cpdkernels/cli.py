@@ -19,7 +19,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .algebra import AlgebraDescriptor, ToleranceConfig, spectral_norms
@@ -55,16 +55,15 @@ from .kernels import (
 )
 from .serialize import (
     SchemaError,
-    certificate_to_json,
-    decomposition_to_json,
+    _certificate_to_json,
+    _decomposition_to_json,
+    _embedding_to_json,
+    _families_to_json,
+    _table_to_json,
+    _verdict_to_json,
     dump_json,
-    embedding_to_json,
-    families_to_json,
-    kernel_to_json,
     load_document,
-    metric_to_json,
     tolerances_to_json,
-    verdict_to_json,
 )
 
 __all__ = ["Report", "build_parser", "main"]
@@ -145,23 +144,24 @@ def _check_cpd(args, tol, K):
 
 def _transform(args, tol, K):
     s0 = _base_point(K, args.base_point)
-    return "n/a", {"base_point": s0, "kernel": kernel_to_json(shift_transform(K, s0, tol))}, None
+    shifted = shift_transform(K, s0, tol)
+    return "n/a", {"base_point": s0, "kernel": _table_to_json(shifted, "values")}, None
 
 
 def _decompose(args, tol, K):
     dec = decompose_cpd(K, _base_point(K, args.base_point), tol)
-    return None, {"decomposition": decomposition_to_json(dec)}, partial(reconstruct_cpd, dec)
+    return None, {"decomposition": _decomposition_to_json(dec)}, partial(reconstruct_cpd, dec)
 
 
 def _ssd_decompose(args, tol, K):
     families = sum_sq_diff_decomposition(K, tol)
-    return (None, {"families": families_to_json(families, K.index_set)},
+    return (None, {"families": _families_to_json(families, K.index_set)},
             partial(sum_sq_diff_reconstruct, families, K.index_set, K.descriptor))
 
 
 def _embed(args, tol, dm):
     result = embed(dm, _base_point(dm, args.base_point), tol)
-    return None, {"embedding": embedding_to_json(result)}, result.realized_metric
+    return None, {"embedding": _embedding_to_json(result)}, result.realized_metric
 
 
 def _check_metric(args, tol, dm):
@@ -171,7 +171,7 @@ def _check_metric(args, tol, dm):
 def _majorize(args, tol, K, Kp):
     s0 = _base_point(K, args.base_point)
     cert = recover_contraction(K, Kp, s0, tol)
-    return None, {"base_point": s0, "certificate": certificate_to_json(cert)}, None
+    return None, {"base_point": s0, "certificate": _certificate_to_json(cert)}, None
 
 
 def _demo(args, tol):
@@ -179,9 +179,9 @@ def _demo(args, tol):
     base = is_conditionally_positive_definite(K, tol, args.threads)
     square = schur_product(K, K)
     return is_conditionally_positive_definite(square, tol, args.threads), {
-        "kernel": kernel_to_json(K),
-        "kernel_verdict": verdict_to_json(base),
-        "schur_square": kernel_to_json(square),
+        "kernel": _table_to_json(K, "values"),
+        "kernel_verdict": _verdict_to_json(base),
+        "schur_square": _table_to_json(square, "values"),
     }, None
 
 
@@ -196,8 +196,7 @@ def _gen(args, tol):
     else:
         raise ValueError(
             f"unknown class {name!r}; available: {', '.join(GEN_CLASSES + FIXTURE_NAMES)}")
-    doc = metric_to_json(obj) if isinstance(obj, CStarMetric) else kernel_to_json(obj)
-    text = dump_json(doc)
+    text = dump_json(_table_to_json(obj, "metric" if isinstance(obj, CStarMetric) else "values"))
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -320,7 +319,7 @@ def _run(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
         "parse": round((parsed - start) * 1e3, 3),
         "compute": round((time.perf_counter() - parsed) * 1e3, 3)}
     if isinstance(verdict, Verdict):
-        witness, verdict = verdict_to_json(verdict), bool(verdict.holds)
+        witness, verdict = _verdict_to_json(verdict), bool(verdict.holds)
         code = 0 if verdict else 1
     else:
         witness, code = None, 0 if artifacts.get("verify", {"ok": True})["ok"] else 1
@@ -328,9 +327,12 @@ def _run(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
     return code, Report(args.command, verdict, witness, artifacts, phases, tol)
 
 
+# The parser holds no state between parses, so one serves every call.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if not all(t > 0 and math.isfinite(t) for t in (args.tol_rel, args.rank_tol_rel)):
         print("tolerances must be positive and finite", file=sys.stderr)
         return 2
@@ -342,7 +344,7 @@ def main(argv=None) -> int:
         if not isinstance(exc, PreconditionFailure) or exc.verdict is None:
             return 2
         # A failed decision behind the precondition: report it, with its witness.
-        code, report = 1, Report(args.command, False, verdict_to_json(exc.verdict),
+        code, report = 1, Report(args.command, False, _verdict_to_json(exc.verdict),
                                  None, None, tol)
     if report is not None:
         sys.stdout.write(dump_json(report.to_json()))

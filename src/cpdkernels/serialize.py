@@ -8,19 +8,20 @@ a block is a row-major 2-D array of ``[re, im]`` pairs.
 
 Floats are emitted with 17 significant digits so that a dump/load cycle is
 the identity on IEEE doubles, and key order is fixed, so equal objects
-serialize to identical bytes.  Both directions work on whole blocks: a
-rectangular nest of floats (a block, or a whole table when the summands
-have one size) is rendered by one ``%`` format of a layout built for its
-shape, and each summand of a table is read as one array.  Anything else
-takes the per-node path: the renderer recurses, and the reader walks the
-table pair by pair, raising ``SchemaError`` with the path into the
-offending document node.
+serialize to identical bytes.  Both directions work on whole blocks: the
+CLI keeps each array of a report in a node (``_Arrays``) that is rendered by
+one ``%`` format of a layout built for its shape, a rectangular nest of
+floats in a plain document is rendered the same way, and each summand of a
+table is read as one array.  Anything else takes the per-node path: the
+renderer recurses, and the reader walks the table pair by pair, raising
+``SchemaError`` with the path into the offending document node.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -87,19 +88,45 @@ def _float_nest(obj):
 
 
 def _layout(shape, indent: int, level: int) -> str:
-    """The ``%`` format string of a float nest of ``shape`` at ``level``."""
+    """The ``%`` format string of a float nest of ``shape`` at ``level``.  A
+    list of shapes in ``shape`` stands for one list holding a nest of each;
+    a zero-length level renders as ``[]``."""
     if not shape:
         return "%.17g"  # equals format(x, ".17g") for every finite double
+    if not shape[0]:
+        return "[]"
     pad = " " * (indent * (level + 1))
-    item = _layout(shape[1:], indent, level + 1)
-    return "[\n" + pad + (",\n" + pad).join([item] * shape[0]) + "\n" + " " * (indent * level) + "]"
+    if type(shape[0]) is list:
+        items = [_layout(s, indent, level + 1) for s in shape[0]]
+    else:
+        items = [_layout(shape[1:], indent, level + 1)] * shape[0]
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * (indent * level) + "]"
+
+
+@dataclass(frozen=True, eq=False)
+class _Arrays:
+    """A report node: the nest of ``shape`` whose entry at each index lists
+    the ``[re, im]`` block of every array there (``shape`` is the arrays'
+    leading axes), or, with ``shape`` ``None``, the nest of the one array."""
+
+    shape: tuple | None
+    arrays: tuple
 
 
 def _render(obj, out: list, indent: int, level: int) -> None:
     pad = " " * (indent * (level + 1))
     closing = " " * (indent * level)
-    # Lists first: they are most of the nodes of a document.
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, _Arrays):  # one format; the leaves by one tolist
+        lead, outer = math.prod(obj.shape or ()), len(obj.shape or ())
+        blocks = [A.shape[outer:] + (2,) for A in obj.arrays]
+        leaves = np.concatenate([A.reshape(lead, -1) for A in obj.arrays], axis=1,
+                                dtype=np.complex128).view(np.float64) if lead else np.empty(0)
+        if not np.isfinite(leaves).all():
+            raise ValueError("non-finite floats cannot be serialized")
+        shape = blocks[0] if obj.shape is None else obj.shape + (blocks,)
+        out.append(_layout(shape, indent, level) % tuple(leaves.ravel().tolist()))
+    # Lists next: they are most of the other nodes of a document.
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
@@ -157,9 +184,23 @@ def _block_to_json(b: np.ndarray) -> list:
     return np.stack([b.real, b.imag], axis=-1).tolist()
 
 
-def _points_to_json(points: _Points) -> list:
-    """Each element of ``points`` in set order, by one ``tolist`` per summand."""
-    return [list(blocks) for blocks in zip(*map(_block_to_json, points._arrays))]
+def _plain(obj):
+    """``obj`` with every ``_Arrays`` node in it turned into nested lists."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if not isinstance(obj, _Arrays):
+        return obj
+
+    def entries(nests, depth: int) -> list:
+        return list(nests) if depth == 0 else [entries(t, depth - 1) for t in zip(*nests)]
+
+    nests = [_block_to_json(A) for A in obj.arrays]
+    return nests[0] if obj.shape is None else entries(nests, len(obj.shape))
+
+
+def _points_to_json(points: _Points) -> _Arrays:
+    """Each element of ``points`` in set order."""
+    return _Arrays((points.index_set.n,), points._arrays)
 
 
 def element_to_json(x: AlgebraElement) -> list:
@@ -171,39 +212,42 @@ def module_element_to_json(x: ModuleElement) -> dict:
 
 
 def _table_to_json(T, key: str) -> dict:
-    # One nested list of [re, im] pairs per summand, indexed [i][j][row][col].
-    pairs, n = [_block_to_json(S) for S in T._stacks], T.n
+    # One (n, n, d, d) stack per summand, indexed [i][j][row][col].
     return {
         "algebra": {"summands": list(T.descriptor.summand_dims)},
         "set": list(T.index_set.labels),
-        key: [[[P[i][j] for P in pairs] for j in range(n)] for i in range(n)],
+        key: _Arrays((T.n, T.n), T._stacks),
     }
 
 
 def kernel_to_json(K: Kernel) -> dict:
-    return _table_to_json(K, "values")
+    return _plain(_table_to_json(K, "values"))
 
 
 def metric_to_json(dm: CStarMetric) -> dict:
-    return _table_to_json(dm, "metric")
+    return _plain(_table_to_json(dm, "metric"))
 
 
-def verdict_to_json(v: Verdict) -> dict:
+def _verdict_to_json(v: Verdict) -> dict:
     witness = None
     if v.witness is not None:
         witness = {
             "summand": v.witness.summand,
             "eigenvalue": float(v.witness.eigenvalue),
-            "vector": _block_to_json(np.asarray(v.witness.vector).ravel()),
+            "vector": _Arrays(None, (np.asarray(v.witness.vector).ravel(),)),
         }
     return {"holds": v.holds, "witness": witness, "context": v.context}
+
+
+def verdict_to_json(v: Verdict) -> dict:
+    return _plain(_verdict_to_json(v))
 
 
 def tolerances_to_json(tol: ToleranceConfig) -> dict:
     return {"tol_rel": tol.tol_rel, "rank_tol_rel": tol.rank_tol_rel}
 
 
-def factorization_to_json(fact: Factorization) -> dict:
+def _factorization_to_json(fact: Factorization) -> dict:
     return {
         "algebra": {"summands": list(fact.descriptor.summand_dims)},
         "set": list(fact.index_set.labels),
@@ -212,34 +256,55 @@ def factorization_to_json(fact: Factorization) -> dict:
     }
 
 
-def decomposition_to_json(dec: CPDDecomposition) -> dict:
+def factorization_to_json(fact: Factorization) -> dict:
+    return _plain(_factorization_to_json(fact))
+
+
+def _decomposition_to_json(dec: CPDDecomposition) -> dict:
     return {
-        "factorization": factorization_to_json(dec.factorization),
+        "factorization": _factorization_to_json(dec.factorization),
         "affine": _points_to_json(dec.h),
         "base_point": dec.base_point,
     }
 
 
-def embedding_to_json(res: EmbeddingResult) -> dict:
+def decomposition_to_json(dec: CPDDecomposition) -> dict:
+    return _plain(_decomposition_to_json(dec))
+
+
+def _embedding_to_json(res: EmbeddingResult) -> dict:
     return {
-        "factorization": factorization_to_json(res.factorization),
+        "factorization": _factorization_to_json(res.factorization),
         "base_point": res.base_point,
     }
 
 
-def certificate_to_json(cert: MajorizationCertificate) -> dict:
+def embedding_to_json(res: EmbeddingResult) -> dict:
+    return _plain(_embedding_to_json(res))
+
+
+def _certificate_to_json(cert: MajorizationCertificate) -> dict:
     return {
-        "W": [_block_to_json(w) for w in cert.W],
-        "C": [_block_to_json(c) for c in cert.C],
+        "W": _Arrays((), cert.W),
+        "C": _Arrays((), cert.C),
         "residual": cert.residual,
         "norm_W": cert.norm_W,
     }
 
 
+def certificate_to_json(cert: MajorizationCertificate) -> dict:
+    return _plain(_certificate_to_json(cert))
+
+
+def _families_to_json(families, index_set: IndexSet) -> _Arrays:
+    points = [_Points.of(index_set, fam)._arrays for fam in families]
+    return _Arrays((len(points), index_set.n), tuple(np.stack(X) for X in zip(*points)))
+
+
 def families_to_json(families, index_set: IndexSet) -> list:
     """Families from the sum-of-squared-differences split, each rendered as
     one element per label in set order."""
-    return [_points_to_json(_Points.of(index_set, fam)) for fam in families]
+    return _plain(_families_to_json(families, index_set))
 
 
 def _expect(cond: bool, path: str, message: str) -> None:

@@ -31,6 +31,7 @@ from cpdkernels import (
     scalar_kernel,
     scalar_metric,
 )
+from cpdkernels import cli
 from cpdkernels.cli import build_parser, main
 from helpers import overflow_metric, same_bits
 
@@ -501,3 +502,46 @@ class TestParserShape:
         shape.update((name, _parser_shape(p)) for name, p in sub.choices.items())
         assert list(shape) == list(self.SHAPE)
         assert shape == self.SHAPE
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser built per process."""
+
+    def test_one_parser_serves_every_call(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_back_to_back_calls_leave_no_state_behind(self, capsys, monkeypatch, tmp_path):
+        cfg = GenConfig(seed=3, n=3, descriptor=AlgebraDescriptor([2, 1]))
+        K = write_kernel(tmp_path, random_cpd_kernel(cfg), "k.json")
+        diag = write_kernel(tmp_path, random_cpd_kernel(cfg, diagonal_zero=True), "d.json")
+        dm = write_metric(tmp_path, random_metric(cfg), "m.json")
+        calls = [
+            ["--tol-rel", "1e-3", "check-cpd", "--method", "shift", "--base-point", "s2", K],
+            ["--no-timings", "check-cpd", K],
+            ["--no-timings", "check-cpd", "--method", "corm", diag],
+            ["--no-timings", "transform", "--base-point", "s3", K],
+            ["--no-timings", "--tol-rel", "1e-6", "transform", K],
+            ["--no-timings", "decompose", "--verify", "--base-point", "s2", K],
+            ["--no-timings", "decompose", K],
+            ["--no-timings", "ssd-decompose", "--verify", diag],
+            ["--no-timings", "embed", "--base-point", "s3", dm],
+            ["--no-timings", "embed", "--verify", dm],
+            ["--no-timings", "gen", "cpd", "--n", "2", "--dims", "2,1", "--seed", "4"],
+            ["--no-timings", "gen", "metric"],
+            ["--no-timings", "check-cpd", "--method", "shift", "--base-point", "s3", K],
+        ]
+
+        def report(argv):
+            code, out, err = run(capsys, *argv)
+            doc = json.loads(out)
+            if "--no-timings" not in argv:  # the one field that is not reproducible
+                assert set(doc.pop("timings_ms")) == {"parse", "compute"}
+            return code, doc, err
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", build_parser)  # a fresh parser for each call
+            alone = [report(argv) for argv in calls]
+        assert len({json.dumps(r[1], sort_keys=True) for r in alone}) == len(calls)
+        for order in (calls, calls[::-1], calls[::2] + calls[1::2]):
+            assert [report(argv) for argv in order] == [alone[calls.index(a)] for a in order]

@@ -40,6 +40,11 @@ from cpdkernels import (
     sum_sq_diff_decomposition,
 )
 from cpdkernels.serialize import (
+    _Arrays,
+    _decomposition_to_json,
+    _families_to_json,
+    _plain,
+    _table_to_json,
     certificate_to_json,
     decomposition_to_json,
     embedding_to_json,
@@ -136,14 +141,15 @@ class TestLeafListRenderer:
         with contextlib.redirect_stdout(out):
             assert cli.main(["--no-timings", argv[0], str(path), *argv[1:]]) == 0
         assert len(reports) == 1 and len(out.getvalue()) > 1_000_000
-        assert out.getvalue() == reference_dump_json(reports[0])
+        # A report holds its arrays as nodes; the reference renders their plain form.
+        assert out.getvalue() == reference_dump_json(_plain(reports[0]))
 
     def test_every_command_report(self, tmp_path, monkeypatch):
         rendered = []
 
         def spy(obj, *args):
             text = dump_json(obj, *args)
-            rendered.append((text, reference_dump_json(obj)))
+            rendered.append((text, reference_dump_json(_plain(obj))))
             return text
 
         monkeypatch.setattr(cli, "dump_json", spy)
@@ -178,6 +184,81 @@ class TestLeafListRenderer:
         assert len(rendered) == len(commands)
         for text, reference in rendered:
             assert text == reference
+
+
+def array_nodes(dims, n, seed=0) -> dict:
+    """One report node of each layout over summands ``dims`` and ``n`` labels,
+    with random entries; the points give the summands of size 1 rank 0."""
+    rng = np.random.default_rng(seed)
+
+    def arr(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    ranks = [d - 1 for d in dims]
+    return {
+        "table": _Arrays((n, n), [arr(n, n, d, d) for d in dims]),
+        "points": _Arrays((n,), [arr(n, r, d) for r, d in zip(ranks, dims)]),
+        "families": _Arrays((3, n), [arr(3, n, d, d) for d in dims]),
+        "certificate": _Arrays((), [arr(r, d) for r, d in zip(ranks, dims)]),
+        "vector": _Arrays(None, [arr(n * dims[0])]),
+    }
+
+
+class TestArrayRenderer:
+    """Report nodes render straight from their arrays; the bytes are those of
+    the renderer that recurses into every node of their plain form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("dims", [[1], [2, 1], [8, 8], [3, 2]])
+    def test_nodes_match_the_reference_at_every_level(self, dims, n):
+        for name, node in array_nodes(dims, n).items():
+            obj = node
+            for level in range(5):
+                assert dump_json(obj) == reference_dump_json(_plain(obj)), (name, level)
+                obj = {"level": obj} if level % 2 else {"level": obj, "next": [1.5]}
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("dims", [[1], [2, 1], [8, 8], [3, 2]])
+    def test_report_builders_match_the_reference(self, dims, n):
+        cfg = GenConfig(seed=n, n=n, descriptor=AlgebraDescriptor(dims))
+        K = random_cpd_kernel(cfg)
+        D = random_cpd_kernel(cfg, diagonal_zero=True)
+        docs = [_table_to_json(K, "values"), _table_to_json(D, "metric")]
+        if n > 1:  # the decompositions need two labels
+            docs += [_decomposition_to_json(decompose_cpd(K, "s1")),
+                     _families_to_json(sum_sq_diff_decomposition(D), D.index_set)]
+        for doc in docs:
+            assert dump_json(doc) == reference_dump_json(_plain(doc))
+
+    def test_rank_zero_summands_and_no_families_render_as_empty_lists(self):
+        K = scalar_kernel([[0.0, 0.0], [0.0, 0.0]])
+        dec = _decomposition_to_json(decompose_cpd(K, "s1"))
+        assert dec["factorization"]["ranks"] == [0]
+        text = dump_json(dec)
+        assert text == reference_dump_json(_plain(dec))
+        assert '"points": [\n      [\n        []\n      ],' in text
+        families = _families_to_json(sum_sq_diff_decomposition(K), K.index_set)
+        assert dump_json(families) == "[]\n" and _plain(families) == []
+        node = _Arrays((2,), [np.zeros((2, 0, 3)), np.ones((2, 1, 1))])
+        assert dump_json(node) == reference_dump_json(_plain(node))
+        assert dump_json(_Arrays((0, 2), [])) == "[]\n"
+
+    def test_negative_zero_renders_as_minus_zero(self):
+        node = _Arrays(None, [np.array([complex(-0.0, 0.0), complex(0.0, -0.0)])])
+        text = dump_json(node)
+        assert text == "[\n  [\n    -0,\n    0\n  ],\n  [\n    0,\n    -0\n  ]\n]\n"
+        assert text == reference_dump_json(_plain(node))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_non_finite_entries_are_rejected(self, bad, imag):
+        for node in array_nodes([2, 1], 2).values():
+            for A in node.arrays:
+                if A.size:
+                    A.flat[-1] = complex(0.0, bad) if imag else complex(bad, 0.0)
+                    with pytest.raises(ValueError, match="non-finite"):
+                        dump_json({"node": node})
+                    A.flat[-1] = 0.0
 
 
 class TestKernelRoundtrip:

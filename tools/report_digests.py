@@ -11,15 +11,17 @@ under ``diff``.
 
 The corpus: gram, cpd, cpd-diag, hermitian, non-cpd and metric documents
 from ``gen`` and the pair of ``random_majorized_pair``, over summands
-``[1]``, ``[2,1]``, ``[8,8]``, ``[3,2]``, n in {2, 3, 6, 10} and seeds
+``[1]``, ``[2,1]``, ``[8,8]``, ``[3,2]``, n in {1, 2, 3, 6, 10} and seeds
 {1, 9001}; on each kernel document ``check-pd``, ``check-cpd`` by each
 method, ``transform``, ``ssd-decompose --verify`` and ``decompose --verify``
-at the first and the last label; on each metric ``check-metric`` and
-``embed --verify`` at the first and the last label, and ``check-metric`` and
-``embed --verify`` on copies of it that each break one axiom (see
-``BREAKS``) and on copies placed at the positivity threshold (see
-``MARGINS``); ``majorize`` on the pair in both orders; the same commands on
-the four fixtures, and the demo.
+at the first and the last label, and the same on copies of each cpd-diag
+document with one summand, or all, set to zero (so a factorization has rank
+0 in a summand, and the split has no families); on each metric
+``check-metric`` and ``embed --verify`` at the first and the last label,
+and, with two labels or more, ``check-metric`` and ``embed --verify`` on
+copies of it that each break one axiom (see ``BREAKS``) and on copies placed
+at the positivity threshold (see ``MARGINS``); ``majorize`` on the pair in
+both orders; the same commands on the four fixtures, and the demo.
 Documents are written to a temporary directory and named relative to it,
 so no path enters a report.
 """
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 DIMS = ("1", "2,1", "8,8", "3,2")
-SIZES = (2, 3, 6, 10)
+SIZES = (1, 2, 3, 6, 10)
 SEEDS = (1, 9001)
 CLASSES = ("gram", "cpd", "cpd-diag", "hermitian", "non-cpd", "metric")
 
@@ -85,6 +87,15 @@ def edited(doc: dict, entries: dict) -> dict:
 def broken(doc: dict, edits: dict) -> dict:
     """A copy of metric document ``doc`` with ``edits`` applied."""
     return edited(doc, {ij: [edit(B) for B in blocks(doc, *ij)] for ij, edit in edits.items()})
+
+
+def zeroed(doc: dict, summands: tuple) -> dict:
+    """A copy of kernel document ``doc`` with every block of ``summands`` set to zero."""
+    doc = json.loads(json.dumps(doc))
+    for entry in (entry for row in doc["values"] for entry in row):
+        for k in summands:
+            entry[k] = np.zeros(np.shape(entry[k])).tolist()
+    return doc
 
 
 def spectra(mats: list[np.ndarray]) -> list:
@@ -168,8 +179,16 @@ def main(src: str, out: str) -> int:
         run(f"{path} embed first", "embed", "--verify", path)
         run(f"{path} embed last", "embed", "--verify", "--base-point", last, path)
 
+    def on_zeroed(path: str) -> None:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        m = len(doc["algebra"]["summands"])
+        for ks in [(k,) for k in range(m) if m > 1] + [tuple(range(m))]:
+            on_kernel(write(f"zero{''.join(map(str, ks))}-{path}", json.dumps(zeroed(doc, ks))))
+
     def on_broken(path: str) -> None:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if len(doc["set"]) < 2:
+            return
         for how, edits in BREAKS.items():
             if how != "triangle" or len(doc["set"]) > 2:
                 copy = write(f"{how}-{path}", json.dumps(broken(doc, edits)))
@@ -198,6 +217,8 @@ def main(src: str, out: str) -> int:
                                 (on_metric if klass == "metric" else on_kernel)(name)
                                 if klass == "metric":
                                     on_broken(name)
+                                if klass == "cpd-diag":
+                                    on_zeroed(name)
                         cfg = GenConfig(seed=seed, n=n, descriptor=AlgebraDescriptor(
                             [int(d) for d in dims.split(",")]))
                         try:
