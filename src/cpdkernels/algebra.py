@@ -261,7 +261,7 @@ def is_positive(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """
     if any(hermitian_defects(b, tol) for b in x.blocks):
         return False
-    return worst_psd_defect(list(x.blocks), tol, _hermitian_part) is None
+    return worst_psd_defect(map(_hermitian_part, x.blocks), tol) is None
 
 
 def _cholesky_passes(H: np.ndarray, tol: ToleranceConfig) -> bool:
@@ -343,35 +343,36 @@ def _witness(h: np.ndarray, lam: float, s: float):
     return v if converged else None
 
 
-def worst_psd_defect(mats, tol: ToleranceConfig = DEFAULT_TOL, part=lambda M: M):
-    """The first summand at the lowest margin where hermitian ``h = part(M)``
-    (``M`` by default) fails ``lambda_min >= -tol_rel s``, ``s = max(1, max
-    |lambda|)``, its margin, eigenvalue and unit ``v``, ``||h v - lambda v||
-    <= 64 N eps s``; ``None`` if none fails.  ``eigh`` decides on the band,
-    ranks near-ties and backs the witness, so verdicts are its own.  A -1,
-    the lowest margin, ends the pass; non-finite values raise ``NonFinite``."""
-    defects = []
-    for k, M in enumerate(mats):
-        if (found := _psd_margin(_require_finite([part(M)])[0], tol)) is not None:
-            defects.append((found, k))
+def worst_psd_defect(hs, tol: ToleranceConfig = DEFAULT_TOL):
+    """The first summand at the lowest margin where hermitian ``h`` of ``hs``
+    fails ``lambda_min >= -tol_rel s``, ``s = max(1, max |lambda|)``, its
+    margin, eigenvalue and unit ``v``, ``||h v - lambda v|| <= 64 N eps s``;
+    ``None`` if none fails.  ``hs`` may be an iterator: each ``h`` is checked
+    finite and decided once, and only a failing one is kept.  ``eigh``
+    decides on the band, ranks near-ties and backs the witness, so verdicts
+    are its own.  A -1, the lowest margin, ends the pass; non-finite values
+    raise ``NonFinite``."""
+    defects, order, hs = [], 0, iter(hs)
+    for k, h in enumerate(hs):
+        order = max(order, h.shape[0])
+        if (found := _psd_margin(_require_finite([h])[0], tol)) is not None:
+            defects.append((found, k, h))
             if found[0] == -1.0:
-                for rest in mats[k + 1:]:  # fail closed: an eigenvalue may
+                for rest in hs:  # fail closed: an eigenvalue may
+                    order = max(order, rest.shape[0])
                     with np.errstate(over="ignore"):  # overflow where the norm does
-                        norm = np.linalg.norm(_require_finite([part(rest)])[0])
-                    if not np.isfinite(norm):
-                        _psd_margin(part(rest), tol)
+                        if not np.isfinite(np.linalg.norm(_require_finite([rest])[0])):
+                            _psd_margin(rest, tol)
                 break
     if not defects:
         return None
-    cut = min(f[0] for f, _ in defects) + 2 * _BAND * max(M.shape[0] for M in mats)
-    ties = [(f, k) for f, k in defects if f[0] <= cut]
+    cut = min(f[0] for f, _, _ in defects) + 2 * _BAND * order
+    ties = [(f, k, h) for f, k, h in defects if f[0] <= cut]
     if len(ties) > 1:
-        ties = [(f if f[0] == -1.0 else _eigh_defect(part(mats[k])), k) for f, k in ties]
-    (margin, lam, v, s), k = min(ties, key=lambda fk: fk[0][0])
-    if v is None:
-        h = part(mats[k])
-        if (v := _witness(h, lam, s)) is None:
-            margin, lam, v, _ = _eigh_defect(h)
+        ties = [(f if f[0] == -1.0 else _eigh_defect(h), k, h) for f, k, h in ties]
+    (margin, lam, v, s), k, h = min(ties, key=lambda fkh: fkh[0][0])
+    if v is None and (v := _witness(h, lam, s)) is None:
+        margin, lam, v, _ = _eigh_defect(h)
     return k, margin, lam, v
 
 

@@ -28,6 +28,7 @@ from .algebra import (
     DimensionMismatch,
     ModuleElement,
     ToleranceConfig,
+    _hermitian_part,
     spectral_norms,
 )
 from .kernels import (
@@ -129,7 +130,7 @@ class MajorizationCertificate:
 def _top_eigenpairs(G: np.ndarray, tol: ToleranceConfig):
     """Eigenpairs of the hermitian part of ``G``, eigenvalues descending and
     cut at ``rank_tol_rel * max(1, lambda_max)``."""
-    w, u = np.linalg.eigh(0.5 * (G + G.conj().T))
+    w, u = np.linalg.eigh(_hermitian_part(G))
     order = np.argsort(w)[::-1]
     w, u = w[order], u[:, order]
     keep = w > tol.rank_tol_rel * max(1.0, float(w[0]) if w.size else 0.0)
@@ -178,6 +179,27 @@ def _cross(X: np.ndarray, P=None) -> np.ndarray:
     return (Y if P is None else Y @ P)[:, None] @ X[None, :]
 
 
+def _kolmogorov(X: np.ndarray, P=None, H=None) -> np.ndarray:
+    """``2 F(s,t) - F(s,s) - F(t,t)``, then ``- h(s) - h(t)*`` when the
+    ``(n, d, d)`` affine part ``H`` is given, with ``F = _cross(X, P)``: the
+    one table form behind the reconstruction and the majorized kernels."""
+    F = _cross(X, P)
+    D = F[range(len(X)), range(len(X))]
+    S = 2.0 * F - D[:, None] - D[None, :]
+    return S if H is None else S - H[:, None] - H.conj().swapaxes(-1, -2)[None, :]
+
+
+def _squared_differences(families, n: int, d: int) -> np.ndarray:
+    """``-sum_k |e_k(s) - e_k(t)|^2`` as an ``(n, n, d, d)`` stack, from the
+    ``(n, r, d)`` points of each family in one summand.  The sum starts from
+    zeros, so an entry no family moves is ``+0``, not ``-0``."""
+    acc = np.zeros((n, n, d, d), dtype=np.complex128)
+    for X in families:
+        delta = X[:, None] - X[None, :]
+        acc = acc - delta.conj().swapaxes(-1, -2) @ delta
+    return acc
+
+
 def factor_kernel(fact: Factorization) -> Kernel:
     """The Gram kernel ``(s,t) -> V(s)* V(t)`` of a factorization."""
     return Kernel._of(fact.index_set, fact.descriptor,
@@ -211,14 +233,9 @@ def decompose_cpd(
 
 def reconstruct_cpd(dec: CPDDecomposition) -> Kernel:
     """Evaluate ``2 V(s)*V(t) - V(s)*V(s) - V(t)*V(t) - h(s) - h(t)*``."""
-    fact, n = dec.factorization, dec.factorization.index_set.n
-    grams = []
-    for X, H in zip(fact.V._arrays, dec.h._arrays):
-        C = _cross(X)
-        D = C[range(n), range(n)]
-        grams.append(_assembled(
-            2.0 * C - D[:, None] - D[None, :] - H[:, None] - H.conj().swapaxes(-1, -2)[None, :]))
-    return Kernel._of(fact.index_set, fact.descriptor, grams)
+    fact = dec.factorization
+    return Kernel._of(fact.index_set, fact.descriptor, [
+        _assembled(_kolmogorov(X, H=H)) for X, H in zip(fact.V._arrays, dec.h._arrays)])
 
 
 def sum_sq_diff_decomposition(
@@ -268,16 +285,10 @@ def sum_sq_diff_reconstruct(
 ) -> Kernel:
     """Evaluate ``-sum_k |e_i^k - e_j^k|^2`` back into a kernel table; the
     inverse of ``sum_sq_diff_decomposition`` up to roundoff."""
-    n, families = index_set.n, [_Points.of(index_set, fam) for fam in families]
-    grams = []
-    for k, d in enumerate(descriptor.summand_dims):
-        acc = np.zeros((n, n, d, d), dtype=np.complex128)
-        for fam in families:
-            X = fam._arrays[k]
-            delta = X[:, None] - X[None, :]
-            acc = acc - delta.conj().swapaxes(-1, -2) @ delta
-        grams.append(_assembled(acc))
-    return Kernel._of(index_set, descriptor, grams)
+    arrays = [_Points.of(index_set, fam)._arrays for fam in families]
+    return Kernel._of(index_set, descriptor, [
+        _assembled(_squared_differences([X[k] for X in arrays], index_set.n, d))
+        for k, d in enumerate(descriptor.summand_dims)])
 
 
 def kernel_leq(K1: Kernel, K2: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> Verdict:
@@ -295,18 +306,13 @@ def majorized_kernel(fact: Factorization, operator_blocks) -> Kernel:
     kernels majorized by the one ``fact`` factors.
     """
     P = [np.asarray(p, dtype=np.complex128) for p in operator_blocks]
-    n = fact.index_set.n
     if len(P) != fact.descriptor.num_summands:
         raise DimensionMismatch("one operator block per summand required")
     for p, r in zip(P, fact.ranks):
         if p.shape != (r, r):
             raise DimensionMismatch("operator block does not match factor rank")
-    grams = []
-    for X, p in zip(fact.V._arrays, P):
-        F = _cross(X, p)
-        D = F[range(n), range(n)]
-        grams.append(_assembled(2.0 * F - D[:, None] - D[None, :]))
-    return Kernel._of(fact.index_set, fact.descriptor, grams)
+    return Kernel._of(fact.index_set, fact.descriptor,
+                      [_assembled(_kolmogorov(X, p)) for X, p in zip(fact.V._arrays, P)])
 
 
 def _shape_offender(K: Kernel, cols, tol: ToleranceConfig):

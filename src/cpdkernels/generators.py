@@ -15,19 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, ModuleElement
-from .decomposition import decompose_cpd, majorized_kernel
+from .algebra import AlgebraDescriptor, AlgebraElement, ModuleElement, _hermitian_part
+from .decomposition import _cross, _squared_differences, decompose_cpd, majorized_kernel
 from .embedding import CStarMetric, distance_matrix_from_points, scalar_metric
-from .kernels import (
-    IndexSet,
-    Kernel,
-    _assembled,
-    _Points,
-    assemble_gram,
-    compressed_gram,
-    kernel_norm,
-    scalar_kernel,
-)
+from .kernels import IndexSet, Kernel, _assembled, _Points, _shifted, kernel_norm, scalar_kernel
 
 __all__ = [
     "GenConfig",
@@ -156,7 +147,7 @@ def random_gram_kernel(cfg: GenConfig) -> Kernel:
     """Kernel ``L(s,t) = g(s)* g(t)`` from random algebra elements ``g``;
     positive definite by construction."""
     g = _random_elements(_rng(cfg, _GRAM), cfg.n, cfg.descriptor, cfg.magnitude)
-    return _kernel(cfg, [_adj(X)[:, None] @ X[None, :] for X in g])
+    return _kernel(cfg, [_cross(X) for X in g])
 
 
 def random_cpd_kernel(cfg: GenConfig, diagonal_zero: bool = False) -> Kernel:
@@ -186,37 +177,31 @@ def random_cpd_kernel(cfg: GenConfig, diagonal_zero: bool = False) -> Kernel:
         ]
         # One diagonal draw per (family, label, summand), in that order.
         z = cfg.magnitude * rng.standard_normal((q, cfg.n, sum(dims)))
-        stacks = []
-        for d, p, at in zip(dims, frames, np.cumsum([0, *dims])):
-            acc = np.zeros((cfg.n, cfg.n, d, d), dtype=np.complex128)
-            for A in _adj(p) @ _diag(z[..., at : at + d]) @ p:  # (n, d, d) per family
-                delta = A[:, None] - A[None, :]
-                acc = acc - _adj(delta) @ delta
-            stacks.append(acc)
-        return _kernel(cfg, stacks)
+        return _kernel(cfg, [  # one (q, n, d, d) array of families per summand
+            _squared_differences(_adj(p) @ _diag(z[..., at : at + d]) @ p, cfg.n, d)
+            for d, p, at in zip(dims, frames, np.cumsum([0, *dims]))])
     rng = _rng(cfg, _CPD_MIX)
     alpha = 0.5 + rng.uniform()
     drawn = _random_elements(rng, 2 * cfg.n, cfg.descriptor, cfg.magnitude)
     return _kernel(cfg, [
-        alpha * (_adj(g)[:, None] @ g[None, :]) + c[:, None] + _adj(c)[None, :]
+        alpha * _cross(g) + c[:, None] + _adj(c)[None, :]
         for g, c in ((X[: cfg.n], X[cfg.n :]) for X in drawn)
     ])
 
 
-def random_hermitian_kernel(cfg: GenConfig, detail: int = 0) -> Kernel:
+def random_hermitian_kernel(cfg: GenConfig) -> Kernel:
     """A hermitian kernel with no positivity arranged; for ``n >= 2`` it is
     almost surely not conditionally positive definite."""
     n = cfg.n
     upper = np.triu_indices(n)  # row-major, the order of the draws
     diagonal = upper[0] == upper[1]
     stacks = []
-    for X in _random_elements(_rng(cfg, _HERMITIAN, detail), upper[0].size,
+    for X in _random_elements(_rng(cfg, _HERMITIAN, 0), upper[0].size,
                               cfg.descriptor, cfg.magnitude):
         S = np.empty((n, n) + X.shape[1:], dtype=np.complex128)
         S[upper[::-1]] = _adj(X)
         S[upper] = X
-        D = X[diagonal]
-        S[range(n), range(n)] = 0.5 * (D + _adj(D))
+        S[range(n), range(n)] = _hermitian_part(X[diagonal])
         stacks.append(S)
     return _kernel(cfg, stacks)
 
@@ -233,7 +218,7 @@ def random_non_cpd_kernel(cfg: GenConfig) -> Kernel:
     ``n**2 * tol_rel < NON_CPD_MARGIN``.
 
     The failure is constructed, not searched for.  Draw
-    ``H = random_hermitian_kernel(cfg, 0)``, set ``M = max(1, kernel_norm(H))``
+    ``H = random_hermitian_kernel(cfg)``, set ``M = max(1, kernel_norm(H))``
     and take each summand's bottom compressed eigenpair ``(lam_k, u_k)``.
     With ``c = NON_CPD_MARGIN`` and ``mu = max(0, (max_k lam_k + c M) / (1 - c))``,
     every summand with ``mu_k = lam_k + c (M + mu) > 0`` loses the rank-one
@@ -250,15 +235,15 @@ def random_non_cpd_kernel(cfg: GenConfig) -> Kernel:
     """
     if cfg.n < 2:
         raise ValueError("a non-CPD instance needs at least 2 labels")
-    H = random_hermitian_kernel(cfg, 0)
-    c = NON_CPD_MARGIN
+    H, c, n = random_hermitian_kernel(cfg), NON_CPD_MARGIN, cfg.n
     M = max(1.0, kernel_norm(H))
-    eigs = [np.linalg.eigh(0.5 * (C + C.conj().T)) for C in compressed_gram(H)]
+    # H is hermitian by construction: its compressions need no validation.
+    eigs = [np.linalg.eigh(_hermitian_part(_shifted(G, n, n - 1, compress=True)))
+            for G in H._grams]
     mu = max(0.0, (max(w[0] for w, _ in eigs) + c * M) / (1.0 - c))
     if mu == 0.0:
         return H
-    n = cfg.n
-    grams = assemble_gram(H)
+    grams = list(H._grams)
     for k, (d, (w, u)) in enumerate(zip(cfg.descriptor.summand_dims, eigs)):
         mu_k = w[0] + c * (M + mu)
         if mu_k <= 0.0:

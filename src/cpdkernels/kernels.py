@@ -413,11 +413,12 @@ def assemble_gram(K: Kernel, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndar
     return list(K._grams)
 
 
-def _psd_verdict(mats: list[np.ndarray], tol: ToleranceConfig) -> Verdict:
+def _psd_verdict(mats, tol: ToleranceConfig) -> Verdict:
     """PSD test over a family of matrices, one per summand, on their hermitian
     parts: fails on ``worst_psd_defect``'s summand, with its eigenvalue and
-    vector."""
-    if (found := worst_psd_defect(mats, tol, _hermitian_part)) is None:
+    vector.  ``mats`` may be an iterator: each matrix is freed once its
+    hermitian part is taken, and each part that passes once it is decided."""
+    if (found := worst_psd_defect(map(_hermitian_part, mats), tol)) is None:
         return Verdict(True)
     k, _, lam, vec = found
     return Verdict(False, Witness(k, lam, vec))
@@ -453,7 +454,7 @@ def _cpd_verdict(K: Kernel, tol: ToleranceConfig) -> Verdict:
     """Conditional positivity of a kernel whose hermiticity is settled (a
     validated table, or one derived from validated tables): the compression
     of each summand, decided on its hermitian part."""
-    return _psd_verdict([_shifted(G, K.n, K.n - 1, compress=True) for G in K._grams], tol)
+    return _psd_verdict((_shifted(G, K.n, K.n - 1, compress=True) for G in K._grams), tol)
 
 
 def is_conditionally_positive_definite(
@@ -502,7 +503,7 @@ def cond_positive_matrix_check(
     """
     if not 1 <= m <= K.n:
         raise ValueError(f"m must be in 1..{K.n}, got {m}")
-    return _psd_verdict([_shifted(G, K.n, m - 1) for G in assemble_gram(K, tol)], tol)
+    return _psd_verdict((_shifted(G, K.n, m - 1) for G in assemble_gram(K, tol)), tol)
 
 
 def two_by_two_check(

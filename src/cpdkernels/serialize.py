@@ -26,12 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import (
-    AlgebraDescriptor,
-    AlgebraElement,
-    ModuleElement,
-    ToleranceConfig,
-)
+from .algebra import AlgebraDescriptor, AlgebraElement, ToleranceConfig
 from .decomposition import CPDDecomposition, Factorization, MajorizationCertificate
 from .embedding import CStarMetric, EmbeddingResult
 from .kernels import IndexSet, Kernel, Verdict, _assembled, _Points
@@ -45,7 +40,6 @@ __all__ = [
     "metric_from_json",
     "load_document",
     "element_to_json",
-    "module_element_to_json",
     "verdict_to_json",
     "tolerances_to_json",
     "factorization_to_json",
@@ -68,7 +62,8 @@ def _children(nodes: list, *shape: int):
     """The items ``len(shape)`` levels below ``nodes``, in reading order,
     when every node is a nest of lists of ``shape``; else ``None``."""
     for m in shape:
-        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {m}:
+        types = set(map(type, nodes))
+        if not all(issubclass(t, list) for t in types) or set(map(len, nodes)) != {m}:
             return None
         nodes = list(chain.from_iterable(nodes))
     return nodes
@@ -87,7 +82,7 @@ def _float_nest(obj):
     return shape, leaves
 
 
-def _layout(shape, indent: int, level: int) -> str:
+def _layout(shape, level: int) -> str:
     """The ``%`` format string of a float nest of ``shape`` at ``level``.  A
     list of shapes in ``shape`` stands for one list holding a nest of each;
     a zero-length level renders as ``[]``."""
@@ -95,12 +90,12 @@ def _layout(shape, indent: int, level: int) -> str:
         return "%.17g"  # equals format(x, ".17g") for every finite double
     if not shape[0]:
         return "[]"
-    pad = " " * (indent * (level + 1))
+    pad = "  " * (level + 1)
     if type(shape[0]) is list:
-        items = [_layout(s, indent, level + 1) for s in shape[0]]
+        items = [_layout(s, level + 1) for s in shape[0]]
     else:
-        items = [_layout(shape[1:], indent, level + 1)] * shape[0]
-    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * (indent * level) + "]"
+        items = [_layout(shape[1:], level + 1)] * shape[0]
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + "  " * level + "]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +108,8 @@ class _Arrays:
     arrays: tuple
 
 
-def _render(obj, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _render(obj, out: list, level: int) -> None:
+    pad, closing = "  " * (level + 1), "  " * level
     if isinstance(obj, _Arrays):  # one format; the leaves by one tolist
         lead, outer = math.prod(obj.shape or ()), len(obj.shape or ())
         blocks = [A.shape[outer:] + (2,) for A in obj.arrays]
@@ -124,7 +118,7 @@ def _render(obj, out: list, indent: int, level: int) -> None:
         if not np.isfinite(leaves).all():
             raise ValueError("non-finite floats cannot be serialized")
         shape = blocks[0] if obj.shape is None else obj.shape + (blocks,)
-        out.append(_layout(shape, indent, level) % tuple(leaves.ravel().tolist()))
+        out.append(_layout(shape, level) % tuple(leaves.ravel().tolist()))
     # Lists next: they are most of the other nodes of a document.
     elif isinstance(obj, (list, tuple)):
         if not obj:
@@ -135,12 +129,12 @@ def _render(obj, out: list, indent: int, level: int) -> None:
             shape, leaves = nest
             if not all(map(math.isfinite, leaves)):
                 raise ValueError("non-finite floats cannot be serialized")
-            out.append(_layout(shape, indent, level) % tuple(leaves))
+            out.append(_layout(shape, level) % tuple(leaves))
             return
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _render(v, out, indent, level + 1)
+            _render(v, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(closing + "]")
     elif obj is None:
@@ -165,17 +159,18 @@ def _render(obj, out: list, indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise ValueError("object keys must be strings")
             out.append(pad + json.dumps(k) + ": ")
-            _render(v, out, indent, level + 1)
+            _render(v, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(closing + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dump_json(obj, indent: int = 2) -> str:
-    """Deterministic JSON text: fixed key order, 17-significant-digit floats."""
+def dump_json(obj) -> str:
+    """Deterministic JSON text: fixed key order, two-space indent,
+    17-significant-digit floats."""
     out: list[str] = []
-    _render(obj, out, indent, 0)
+    _render(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
@@ -205,10 +200,6 @@ def _points_to_json(points: _Points) -> _Arrays:
 
 def element_to_json(x: AlgebraElement) -> list:
     return [_block_to_json(b) for b in x.blocks]
-
-
-def module_element_to_json(x: ModuleElement) -> dict:
-    return {"ranks": list(x.ranks), "blocks": [_block_to_json(b) for b in x.blocks]}
 
 
 def _table_to_json(T, key: str) -> dict:
@@ -319,8 +310,14 @@ def _get(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _number_type(t: type) -> bool:
+    """Whether the schema reads a value of type ``t`` as a number: ``bool``
+    is not one."""
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
 def _parse_number(x, path: str) -> float:
-    _expect(isinstance(x, (int, float)) and not isinstance(x, bool), path, "expected a number")
+    _expect(_number_type(type(x)), path, "expected a number")
     try:
         value = float(x)
     except OverflowError:  # an integer beyond the float range
@@ -348,9 +345,9 @@ def _parse_header(doc, path: str) -> tuple[AlgebraDescriptor, IndexSet]:
 def _float_stacks(node, desc: AlgebraDescriptor, n: int):
     """The ``(n, n, d, d)`` stack of each summand of a well-formed ``n x n``
     table whose numbers are all finite, by one array conversion per summand
-    (the bits of ``complex(re, im)``); else ``None``.  Integers are read by
-    ``float``, as the pair walk reads them: ``dump_json`` writes ``0.0`` as
-    ``0``."""
+    (the bits of ``complex(re, im)``); else ``None``.  It accepts what the
+    pair walk accepts: integers are read by ``float``, as the walk reads
+    them (``dump_json`` writes ``0.0`` as ``0``)."""
     m = desc.num_summands
     blocks = _children([node], n, n, m)
     if blocks is None:
@@ -358,7 +355,7 @@ def _float_stacks(node, desc: AlgebraDescriptor, n: int):
     stacks = []
     for k, d in enumerate(desc.summand_dims):
         leaves = _children(blocks[k::m], d, d, 2)
-        if leaves is None or not set(map(type, leaves)) <= {float, int}:
+        if leaves is None or not all(map(_number_type, set(map(type, leaves)))):
             return None
         try:
             a = np.fromiter(map(float, leaves), np.float64, len(leaves))
@@ -372,21 +369,20 @@ def _float_stacks(node, desc: AlgebraDescriptor, n: int):
 
 def _parse_stacks(node, desc: AlgebraDescriptor, n: int, path: str) -> list[np.ndarray]:
     """The ``(n, n, d, d)`` stack of each summand of an ``n x n`` table, read
-    whole by ``_float_stacks`` where it can be.  Else the table is walked
-    pair by pair in reading order: the walk accepts every number the schema
-    allows and raises ``SchemaError`` at the first node that breaks it."""
+    whole by ``_float_stacks``.  A table it refuses is walked pair by pair in
+    reading order, only to raise ``SchemaError`` at the first node that
+    breaks the schema; the walk builds nothing."""
     stacks = _float_stacks(node, desc, n)
     if stacks is not None:
         return stacks
     m, dims = desc.num_summands, desc.summand_dims
-    stacks = [np.empty((n, n, d, d), dtype=np.complex128) for d in dims]
     _expect(isinstance(node, list) and len(node) == n, path, f"expected {n} rows")
     for i, row in enumerate(node):
         _expect(isinstance(row, list) and len(row) == n, f"{path}[{i}]", f"expected {n} entries")
         for j, entry in enumerate(row):
             p = f"{path}[{i}][{j}]"
             _expect(isinstance(entry, list) and len(entry) == m, p, f"expected {m} blocks")
-            for k, (S, block, d) in enumerate(zip(stacks, entry, dims)):
+            for k, (block, d) in enumerate(zip(entry, dims)):
                 _expect(isinstance(block, list) and len(block) == d, f"{p}[{k}]",
                         f"expected {d} rows")
                 for a, line in enumerate(block):
@@ -396,23 +392,23 @@ def _parse_stacks(node, desc: AlgebraDescriptor, n: int, path: str) -> list[np.n
                         q = f"{p}[{k}][{a}][{b}]"
                         _expect(isinstance(pair, list) and len(pair) == 2, q,
                                 "expected an [re, im] pair")
-                        S[i, j, a, b] = complex(_parse_number(pair[0], f"{q}[0]"),
-                                                _parse_number(pair[1], f"{q}[1]"))
-    return stacks
+                        _parse_number(pair[0], f"{q}[0]")
+                        _parse_number(pair[1], f"{q}[1]")
+    raise SchemaError(path, "table not read")  # fail closed: the walk raises first
 
 
-def _table_from_json(cls, key: str, doc, path: str):
-    desc, index_set = _parse_header(doc, path)
-    stacks = _parse_stacks(_get(doc, key, path), desc, index_set.n, f"{path}.{key}")
+def _table_from_json(cls, key: str, doc):
+    desc, index_set = _parse_header(doc, "$")
+    stacks = _parse_stacks(_get(doc, key, "$"), desc, index_set.n, f"$.{key}")
     return cls._of(index_set, desc, [_assembled(S) for S in stacks])
 
 
-def kernel_from_json(doc, path: str = "$") -> Kernel:
-    return _table_from_json(Kernel, "values", doc, path)
+def kernel_from_json(doc) -> Kernel:
+    return _table_from_json(Kernel, "values", doc)
 
 
-def metric_from_json(doc, path: str = "$") -> CStarMetric:
-    return _table_from_json(CStarMetric, "metric", doc, path)
+def metric_from_json(doc) -> CStarMetric:
+    return _table_from_json(CStarMetric, "metric", doc)
 
 
 def load_document(text: str):
@@ -420,7 +416,7 @@ def load_document(text: str):
     present."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # the digit limit, deep nesting
         raise SchemaError("$", f"malformed JSON: {exc}") from None
     _expect(isinstance(doc, dict), "$", "expected a top-level object")
     if "values" in doc and "metric" in doc:

@@ -409,6 +409,31 @@ class TestNonFiniteInput:
         assert "finite" in err
 
 
+class TestUnreadableInput:
+    """Documents the reader cannot take end in exit 2 with a located message,
+    not a traceback: a summand too large to allocate, nesting beyond the
+    parser's recursion limit, an integer beyond the digit limit."""
+
+    DOCUMENTS = {
+        "huge-summand": ('{"algebra": {"summands": [200000]}, "set": ["a"], "values": [[[[]]]]}',
+                         "$.values[0][0][0]: expected 200000 rows"),
+        "deep-nesting": ("[" * 5000 + "]" * 5000, "$: malformed JSON: "),
+        "long-integer": ('{"algebra": {"summands": [1]}, "set": ["a"], "values": [[[[['
+                         + "1" * 5000 + ', 0]]]]]}', "$: malformed JSON: "),
+    }
+
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    @pytest.mark.parametrize("command", ["check-pd", "check-metric"])
+    def test_exits_two_with_a_located_message(self, capsys, tmp_path, name, command):
+        text, message = self.DOCUMENTS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{command}: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestReportShape:
     def test_key_order_is_fixed(self, capsys, cpd_path):
         _, out, _ = run(capsys, "check-cpd", cpd_path)

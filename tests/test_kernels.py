@@ -48,6 +48,7 @@ from cpdkernels import (
     two_by_two_check,
 )
 from cpdkernels.algebra import _BAND, _cholesky_passes
+from cpdkernels import kernels
 from cpdkernels.kernels import _psd_verdict
 from helpers import (
     KERNEL_DESCRIPTORS,
@@ -757,6 +758,16 @@ class TestInverseIterationWitness:
             assert verdict.witness.summand == 0
             assert abs(lam - want.witness.eigenvalue) <= _BAND * N * abs(lam)
             assert checker.decision(K, "compression", False, verdict) is None
+
+    def test_each_hermitian_part_is_computed_once(self, monkeypatch):
+        for seed in range(4):
+            cfg = GenConfig(seed=seed, n=4, descriptor=AlgebraDescriptor([2, 1]))
+            K = random_non_cpd_kernel(cfg)
+            calls, part = [], kernels._hermitian_part
+            monkeypatch.setattr(kernels, "_hermitian_part", lambda M: calls.append(1) or part(M))
+            assert not is_conditionally_positive_definite(K).holds
+            monkeypatch.undo()
+            assert len(calls) == 2  # one per summand: the pass, the witness and ties share it
 
     def test_a_margin_of_minus_one_without_a_clear_gap_goes_to_eigh(self, monkeypatch):
         eighs = self._counted(monkeypatch, "eigh")

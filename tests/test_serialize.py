@@ -41,6 +41,8 @@ from cpdkernels import (
 )
 from cpdkernels.serialize import (
     _Arrays,
+    _float_stacks,
+    _parse_stacks,
     _decomposition_to_json,
     _families_to_json,
     _plain,
@@ -336,6 +338,60 @@ class TestBlockParser:
             load_document(text)
         assert exc.value.path == "$.values[2][1][1][5]" + where
         assert str(exc.value) == f"{exc.value.path}: {message}"
+
+
+# Values a mutation writes into a table: numbers the schema reads, numbers
+# it refuses, and nodes of every other JSON type.  Builders, so no draw
+# shares a list with another.
+MUTANTS = [lambda: 0, lambda: 7, lambda: -0.0, lambda: 2.5, lambda: np.float64(0.25),
+           lambda: 10**400, lambda: float("nan"), lambda: float("-inf"), lambda: True,
+           lambda: None, lambda: "1", lambda: {}, lambda: [], lambda: [0.5],
+           lambda: [0.5, 1.0], lambda: [[0.5, 1.0]], lambda: (0.5, 1.0)]
+
+
+def lists_in(node):
+    """Every list of a nest, the root included, in reading order."""
+    if isinstance(node, list):
+        yield node
+        for child in node:
+            yield from lists_in(child)
+
+
+@st.composite
+def mutated_tables(draw):
+    """A well-formed ``n x n`` table, ``n <= 3``, over ``[1]``, ``[2, 1]`` or
+    ``[2, 2]``, then up to three edits: a list item set to a mutant or
+    removed, or a mutant appended to a list."""
+    dims, n = draw(st.sampled_from([(1,), (2, 1), (2, 2)])), draw(st.integers(1, 3))
+    table = [[[[[[float(i - j), 0.5 * (a + b)] for b in range(d)] for a in range(d)]
+               for d in dims] for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(list(lists_in(table))))
+        op = draw(st.sampled_from(["set", "pop", "append"]))
+        if not target or op == "append":
+            target.append(draw(st.sampled_from(MUTANTS))())
+        elif op == "pop":
+            target.pop(draw(st.integers(0, len(target) - 1)))
+        else:
+            target[draw(st.integers(0, len(target) - 1))] = draw(st.sampled_from(MUTANTS))()
+    return table, AlgebraDescriptor(dims), n
+
+
+class TestPairWalk:
+    """The pair walk only names the error: it raises on exactly the tables
+    the array conversion refuses, always before its fail-closed end."""
+
+    @given(mutated_tables())
+    def test_raises_exactly_where_the_conversion_refuses(self, case):
+        table, desc, n = case
+        stacks = _float_stacks(table, desc, n)
+        try:
+            parsed = _parse_stacks(table, desc, n, "$.values")
+        except SchemaError as exc:
+            assert stacks is None
+            assert "table not read" not in str(exc)
+        else:
+            assert stacks is not None and all(map(np.array_equal, parsed, stacks))
 
 
 class TestMetricRoundtrip:

@@ -21,9 +21,15 @@ document with one summand, or all, set to zero (so a factorization has rank
 and, with two labels or more, ``check-metric`` and ``embed --verify`` on
 copies of it that each break one axiom (see ``BREAKS``) and on copies placed
 at the positivity threshold (see ``MARGINS``); ``majorize`` on the pair in
-both orders; the same commands on the four fixtures, and the demo.
-Documents are written to a temporary directory and named relative to it,
-so no path enters a report.
+both orders; the same commands on the four fixtures, and the demo.  Last,
+the malformed corpus: copies of the [2,1], n=3, seed-1 cpd and metric
+documents that each break the table once, by every kind of ``WALK_ERRORS``,
+at the first entry (first block, row, pair and number) and at the last
+(last of each), copies that break the header (see ``HEADER_ERRORS``), and
+the documents of ``RAW_DOCUMENTS``, each read by ``check-pd`` and by
+``check-metric``.  A command that raises instead of exiting is recorded by
+the name of the exception's type.  Documents are written to a temporary
+directory and named relative to it, so no path enters a report.
 """
 
 from __future__ import annotations
@@ -68,6 +74,63 @@ BREAKS = {
 # rest, so these copies cross the line between the two.
 MARGINS = (2.0, 0.5, -0.5, -0.9, -1.1, -2.0)
 TOL_REL = 1e-9  # the default tolerance, which every command here runs at
+
+
+# Each kind maps to ``(depth, value)``: in the list ``depth`` levels below
+# the table along index ``t`` (0 or -1; depth 1 is row ``t``, 2 its entry
+# ``t``, 3 that entry's block ``t``, 4 the block's row ``t``, 5 that row's
+# ``[re, im]`` pair ``t``), item ``t`` is removed (``POP``) or set to ``value``.
+POP = object()
+WALK_ERRORS = {
+    "short-row": (1, POP),
+    "entry-object": (1, {}),
+    "short-entry": (2, POP),
+    "short-block": (3, POP),
+    "short-line": (4, POP),
+    "short-pair": (5, POP),
+    "number-string": (5, "0"),
+    "number-bool": (5, True),
+    "number-null": (5, None),
+    "number-list": (5, [0.5]),
+    "number-nan": (5, float("nan")),
+    "number-infinity": (5, -float("inf")),
+    "number-huge-int": (5, 10**400),
+}
+
+# Each kind edits a document's header or its table as a whole.
+HEADER_ERRORS = {
+    "no-algebra": lambda doc, key: doc.pop("algebra"),
+    "algebra-list": lambda doc, key: doc.__setitem__("algebra", [2, 1]),
+    "no-summands": lambda doc, key: doc["algebra"].pop("summands"),
+    "empty-summands": lambda doc, key: doc["algebra"].__setitem__("summands", []),
+    "zero-summand": lambda doc, key: doc["algebra"]["summands"].__setitem__(0, 0),
+    "bool-summand": lambda doc, key: doc["algebra"]["summands"].__setitem__(-1, True),
+    "extra-summand": lambda doc, key: doc["algebra"]["summands"].append(1),
+    "no-set": lambda doc, key: doc.pop("set"),
+    "empty-set": lambda doc, key: doc.__setitem__("set", []),
+    "number-label": lambda doc, key: doc["set"].__setitem__(0, 1),
+    "duplicate-label": lambda doc, key: doc["set"].__setitem__(-1, doc["set"][0]),
+    "no-table": lambda doc, key: doc.pop(key),
+    "both-tables": lambda doc, key: doc.__setitem__(
+        "metric" if key == "values" else "values", doc[key]),
+    "table-object": lambda doc, key: doc.__setitem__(key, {}),
+    "short-table": lambda doc, key: doc[key].pop(),
+}
+
+# The documents the walk errors and the header errors break, with their table keys.
+MALFORMED_BASES = (("cpd-2,1-n3-s1.json", "values"), ("metric-2,1-n3-s1.json", "metric"))
+
+# Whole documents, as text: a 596-GiB summand over an empty block, nesting
+# beyond the parser's recursion limit, an integer beyond the digit limit of
+# int conversion, and text that is not JSON or not an object.
+RAW_DOCUMENTS = {
+    "huge-summand": '{"algebra": {"summands": [200000]}, "set": ["a"], "values": [[[[]]]]}',
+    "deep-nesting": "[" * 5000 + "]" * 5000,
+    "long-integer": ('{"algebra": {"summands": [1]}, "set": ["a"], "values": [[[[['
+                     + "1" * 5000 + ", 0]]]]]}"),
+    "truncated": '{"algebra": {"summands": [1]}, "set": ["a"], "values": [[',
+    "top-level-list": "[]",
+}
 
 
 def blocks(doc: dict, i: int, j: int) -> list[np.ndarray]:
@@ -130,6 +193,27 @@ def placed(doc: dict, m: float, triangle: bool) -> dict:
     return edited(doc, {(0, 1): far, (1, 0): far})
 
 
+def walk_error(doc: dict, key: str, kind: str, t: int) -> dict:
+    """A copy of ``doc`` with its table broken by ``WALK_ERRORS[kind]`` at ``t``."""
+    doc = json.loads(json.dumps(doc))
+    depth, value = WALK_ERRORS[kind]
+    node = doc[key]
+    for _ in range(depth):
+        node = node[t]
+    if value is POP:
+        node.pop(t)
+    else:
+        node[t] = value
+    return doc
+
+
+def header_error(doc: dict, key: str, kind: str) -> dict:
+    """A copy of ``doc`` with ``HEADER_ERRORS[kind]`` applied."""
+    doc = json.loads(json.dumps(doc))
+    HEADER_ERRORS[kind](doc, key)
+    return doc
+
+
 def digest(*parts) -> str:
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
@@ -152,6 +236,8 @@ def main(src: str, out: str) -> int:
                 code = cli(["--no-timings", *argv])
             except SystemExit as exc:  # argparse refusing the arguments
                 code = exc.code
+            except Exception as exc:  # a crash: recorded, and the corpus goes on
+                code = type(exc).__name__
         seen = [f"{w.category.__name__}: {w.message}" for w in caught]
         digests[name] = digest(code, stdout.getvalue(), stderr.getvalue(), seen)
         return stdout.getvalue()
@@ -178,6 +264,11 @@ def main(src: str, out: str) -> int:
         run(f"{path} check-metric", "check-metric", path)
         run(f"{path} embed first", "embed", "--verify", path)
         run(f"{path} embed last", "embed", "--verify", "--base-point", last, path)
+
+    def on_malformed(path: str, text: str) -> None:
+        write(path, text)
+        for command in ("check-pd", "check-metric"):
+            run(f"{path} {command}", command, path)
 
     def on_zeroed(path: str) -> None:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -240,6 +331,16 @@ def main(src: str, out: str) -> int:
                 if write(name, text):
                     (on_metric if '"metric"' in text else on_kernel)(name)
             run("demo schur-counterexample", "demo", "schur-counterexample")
+            for name, key in MALFORMED_BASES:
+                doc = json.loads(Path(name).read_text(encoding="utf-8"))
+                for kind in WALK_ERRORS:
+                    for where, t in (("first", 0), ("last", -1)):
+                        on_malformed(f"{kind}-{where}-{name}",
+                                     json.dumps(walk_error(doc, key, kind, t)))
+                for kind in HEADER_ERRORS:
+                    on_malformed(f"{kind}-{name}", json.dumps(header_error(doc, key, kind)))
+            for name, text in RAW_DOCUMENTS.items():
+                on_malformed(f"{name}.json", text)
         finally:
             os.chdir(home)
     Path(out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
