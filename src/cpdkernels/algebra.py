@@ -86,7 +86,8 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """``(a + a*) / 2`` of a matrix, or of each matrix of a stack.  An
     overflow is left to the caller: decisions raise ``NonFinite`` on it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * (a + a.conj().swapaxes(-1, -2))
+        h = np.add(a, a.conj().swapaxes(-1, -2))  # one temporary, halved in place
+        return np.multiply(h, 0.5, out=h)
 
 
 def _abs(b: np.ndarray) -> np.ndarray:

@@ -361,17 +361,21 @@ def _stack(G: np.ndarray, n: int) -> np.ndarray:
 def _hermitian(K: Kernel, tol: ToleranceConfig) -> bool:
     """The table hermiticity test of ``Kernel.is_hermitian``.  Block ``(i,
     j)`` of ``G - G*`` is ``K(s_i, s_j) - K(s_j, s_i)*``; its 2-norm is at
-    most its Frobenius norm, and the scale ``max(1, kernel_norm)`` is at
-    least ``max(1, max |G|)``.  So Frobenius norms below half of ``tol_rel``
-    times that floor (the half absorbs rounding) prove the table hermitian;
+    most the Frobenius norm of all of ``G - G*``, and ``max(1, kernel_norm)``
+    is at least the floor ``max(1, m)``, ``m`` the largest ``|Re|`` or ``|Im|``
+    of an entry.  So that norm below half of ``tol_rel`` times the floor in
+    every summand (the half absorbs rounding) proves the table hermitian;
     otherwise the exact 2-norms of the blocks with ``i <= j`` decide."""
-    grams, upper = _require_finite(list(K._grams)), np.triu_indices(K.n)
-    diffs = [_stack(G - G.conj().T, K.n)[upper] for G in grams]
-    floor = max(1.0, *(float(np.abs(G).max()) for G in grams))
-    if all(np.linalg.norm(D, axis=(-2, -1)).max() <= 0.5 * tol.tol_rel * floor for D in diffs):
-        return True
+    tops = np.array([(x.max(), -x.min()) for x in (G.view(np.float64) for G in K._grams)])
+    floor = max(1.0, float(_require_finite([tops])[0].max()))  # a NaN or inf reaches tops
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails either test
+        # conj(G) - G^T is G - G*, transposed and negated: numpy may reuse conj(G)'s buffer
+        if all(np.linalg.norm(G.conj() - G.T) <= 0.5 * tol.tol_rel * floor for G in K._grams):
+            return True
+        diffs = [_stack(G - G.conj().T, K.n)[np.triu_indices(K.n)] for G in K._grams]
     scale = max(1.0, float(K._norms.max()))
-    return all(np.linalg.norm(D, 2, axis=(-2, -1)).max() <= tol.tol_rel * scale for D in diffs)
+    return all(np.isfinite(D).all()  # an overflowed defect fails, and LAPACK never sees it
+               and np.linalg.norm(D, 2, axis=(-2, -1)).max() <= tol.tol_rel * scale for D in diffs)
 
 
 def _shifted(G: np.ndarray, n: int, m: int, compress: bool = False) -> np.ndarray:

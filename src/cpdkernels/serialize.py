@@ -326,19 +326,19 @@ def _parse_number(x, path: str) -> float:
     return value
 
 
-def _parse_header(doc, path: str) -> tuple[AlgebraDescriptor, IndexSet]:
-    summands = _get(_get(doc, "algebra", path), "summands", f"{path}.algebra")
-    _expect(isinstance(summands, list) and summands, f"{path}.algebra.summands",
+def _parse_header(doc) -> tuple[AlgebraDescriptor, IndexSet]:
+    summands = _get(_get(doc, "algebra", "$"), "summands", "$.algebra")
+    _expect(isinstance(summands, list) and summands, "$.algebra.summands",
             "expected a nonempty list of sizes")
     for k, d in enumerate(summands):
         _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 1,
-                f"{path}.algebra.summands[{k}]", "expected an integer >= 1")
-    labels = _get(doc, "set", path)
-    _expect(isinstance(labels, list) and labels, f"{path}.set",
+                f"$.algebra.summands[{k}]", "expected an integer >= 1")
+    labels = _get(doc, "set", "$")
+    _expect(isinstance(labels, list) and labels, "$.set",
             "expected a nonempty list of labels")
     for i, s in enumerate(labels):
-        _expect(isinstance(s, str), f"{path}.set[{i}]", "expected a string label")
-    _expect(len(set(labels)) == len(labels), f"{path}.set", "labels must be distinct")
+        _expect(isinstance(s, str), f"$.set[{i}]", "expected a string label")
+    _expect(len(set(labels)) == len(labels), "$.set", "labels must be distinct")
     return AlgebraDescriptor(summands), IndexSet(labels)
 
 
@@ -398,7 +398,7 @@ def _parse_stacks(node, desc: AlgebraDescriptor, n: int, path: str) -> list[np.n
 
 
 def _table_from_json(cls, key: str, doc):
-    desc, index_set = _parse_header(doc, "$")
+    desc, index_set = _parse_header(doc)
     stacks = _parse_stacks(_get(doc, key, "$"), desc, index_set.n, f"$.{key}")
     return cls._of(index_set, desc, [_assembled(S) for S in stacks])
 

@@ -535,8 +535,8 @@ def reference_random_cpd_kernel(cfg, diagonal_zero=False) -> Kernel:
         for gi, gj, ci, cj in zip(g[i], g[j], c[i], c[j])])
 
 
-def reference_random_hermitian_kernel(cfg, detail=0) -> Kernel:
-    rng = _reference_rng(cfg, gen._HERMITIAN, detail)
+def reference_random_hermitian_kernel(cfg) -> Kernel:
+    rng = _reference_rng(cfg, gen._HERMITIAN, 0)
     table = {}
     for i in range(cfg.n):
         for j in range(i, cfg.n):
@@ -549,7 +549,7 @@ def reference_random_hermitian_kernel(cfg, detail=0) -> Kernel:
 
 
 def reference_random_non_cpd_kernel(cfg) -> Kernel:
-    H = reference_random_hermitian_kernel(cfg, 0)
+    H = reference_random_hermitian_kernel(cfg)
     c = gen.NON_CPD_MARGIN
     M = max(1.0, kernel_norm(H))
     eigs = [np.linalg.eigh(0.5 * (C + C.conj().T)) for C in compressed_gram(H)]

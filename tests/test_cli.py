@@ -381,6 +381,24 @@ class TestNonFiniteInput:
             assert proc.stderr == (
                 f"{argv[0]}: a kernel matrix has an infinite or NaN value (overflow?)\n")
 
+    # The square of the first defect overflows a Frobenius norm, and the
+    # second defect overflows itself; each table is refused by the exact test.
+    @pytest.mark.parametrize("table", [[[2, -1 + 1e300j], [-1, 2]],
+                                       [[0, 1.7e308], [-1.7e308, 0]]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["check-pd"], ["check-cpd"], ["check-cpd", "--method", "shift"],
+         ["check-cpd", "--method", "corm"], ["decompose"]],
+    )
+    def test_huge_skew_entry_is_refused_without_a_warning(self, capsys, tmp_path, table, argv):
+        path = write_kernel(tmp_path, scalar_kernel(table))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (2, "")
+        assert err == f"{argv[0]}: kernel table is not hermitian at tolerance\n"
+        assert [str(w.message) for w in caught] == []
+
     def test_overflowing_metric_is_an_input_error_not_a_pass(self, capsys, tmp_path):
         # The overflowing slacks come first; they used to hide the failing
         # triangle (a, e, b) behind a NaN margin and pass.

@@ -47,7 +47,7 @@ from cpdkernels import (
     shift_transform,
     two_by_two_check,
 )
-from cpdkernels.algebra import _BAND, _cholesky_passes
+from cpdkernels.algebra import _BAND, _cholesky_passes, _hermitian_part
 from cpdkernels import kernels
 from cpdkernels.kernels import _psd_verdict
 from helpers import (
@@ -485,16 +485,64 @@ class TestArrayHermiticity:
     loop it replaced."""
 
     @staticmethod
-    def _perturbed(K, factor, block):
-        """``K`` with ``K(s_1, s_2)`` moved by ``factor * tol_rel * scale``
-        in 2-norm along ``block``, a matrix of 2-norm 1 per summand."""
+    def _perturbed(K, factor, block, column=1):
+        """``K`` with ``K(s_1, s_{column + 1})`` moved by ``factor * tol_rel *
+        scale`` in 2-norm along ``block``, a matrix of 2-norm 1 per summand."""
         scale = max(1.0, kernel_norm(K))
         grams = [G.copy() for G in assemble_gram(K)]
         for d, G in zip(K.descriptor.summand_dims, grams):
-            G[0:d, d : 2 * d] += factor * DEFAULT_TOL.tol_rel * scale * block(d)
+            G[0:d, column * d : (column + 1) * d] += (
+                factor * DEFAULT_TOL.tol_rel * scale * block(d))
         return Kernel._of(K.index_set, K.descriptor, grams)
 
-    @pytest.mark.parametrize("factor", [0.5, -0.5, 2.0, -2.0])
+    @pytest.mark.parametrize("dims", [[1], [2, 1], [8, 8], [3, 2]])
+    @pytest.mark.parametrize("n", [2, 6, 32])
+    def test_generated_tables_and_their_shifts_pass_the_prefilter(self, monkeypatch, dims, n):
+        # The exact per-block test, which needs the entry norms, never runs.
+        desc, tables = AlgebraDescriptor(dims), []
+        for magnitude in (1e-6, 1.0, 1e6):
+            cfg = GenConfig(seed=n, n=n, descriptor=desc, magnitude=magnitude)
+            for K in (random_gram_kernel(cfg), random_cpd_kernel(cfg),
+                      random_cpd_kernel(cfg, diagonal_zero=True),
+                      random_hermitian_kernel(cfg), random_non_cpd_kernel(cfg)):
+                fresh = Kernel._of(K.index_set, desc, K._grams)  # no cached entry norms
+                tables += [fresh, shift_transform(fresh, "s1")]
+        calls = []
+        monkeypatch.setattr(kernels, "spectral_norms", lambda S: calls.append(S.shape))
+        for L in tables:
+            assemble_gram(L)
+        assert calls == []
+
+    def test_an_overflowing_defect_fails_without_reaching_lapack(self, capfd):
+        # LAPACK writes to the process's stdout when asked for the 2-norm of
+        # an all-infinite block, here K(a, b) - K(b, a)*.
+        big = 1.7e308 * np.ones((3, 3))
+        K = block_kernel([[np.eye(3), big], [-big, np.eye(3)]], ["a", "b"])
+        assert not K.is_hermitian()
+        assert capfd.readouterr() == ("", "")
+
+    def test_hermitian_part_has_the_bits_of_the_formula(self):
+        rng = np.random.default_rng(12)
+        zeros = np.array([complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)])
+        for shape in ((1, 1), (4, 4), (3, 5, 5), (2, 3, 2, 2)):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            zero = rng.random(shape) < 0.3
+            a[zero] = rng.choice(zeros, zero.sum())
+            a.real[rng.random(shape) < 0.2] = -0.0
+            expected = 0.5 * (a + a.conj().swapaxes(-1, -2))
+            assert _hermitian_part(a).tobytes() == expected.tobytes()
+        a = np.array([[1e308, 1.7e308], [1.7e308 + 1e308j, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = _hermitian_part(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert h.tobytes() == (0.5 * (a + a.conj().T)).tobytes()
+        assert np.isinf(h.real).sum() == 3 and h[1, 1] == 1.0
+
+    # Around the Frobenius prefilter's threshold (1/2) and the exact test's (1).
+    FACTORS = (0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.5, -1.5, 2.0, -2.0)
+
+    @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
     def test_off_diagonal_perturbations_match_the_loop(self, factor, magnitude):
         for i, dims in enumerate(KERNEL_DESCRIPTORS):
@@ -504,6 +552,17 @@ class TestArrayHermiticity:
                                 lambda d: np.outer(np.eye(d)[0], np.eye(d)[-1]))
             assert K.is_hermitian() == reference_is_hermitian(K)
             assert K.is_hermitian() == (abs(factor) < 1.0)
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+    def test_diagonal_perturbations_match_the_loop(self, factor, magnitude):
+        # An anti-hermitian move, i e_1 e_d^T, of K(s_1, s_1).
+        for i, dims in enumerate(KERNEL_DESCRIPTORS):
+            cfg = GenConfig(seed=70 + i, n=3, descriptor=AlgebraDescriptor(dims),
+                            magnitude=magnitude)
+            K = self._perturbed(random_hermitian_kernel(cfg), factor,
+                                lambda d: 1j * np.outer(np.eye(d)[0], np.eye(d)[-1]), column=0)
+            assert K.is_hermitian() == reference_is_hermitian(K)
 
     def test_frobenius_above_the_threshold_with_the_2_norm_below(self):
         # 0.9 * I_d has 2-norm 0.9 and Frobenius norm 0.9 * sqrt(d) >= 1.27:

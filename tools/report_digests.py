@@ -27,7 +27,8 @@ documents that each break the table once, by every kind of ``WALK_ERRORS``,
 at the first entry (first block, row, pair and number) and at the last
 (last of each), copies that break the header (see ``HEADER_ERRORS``), and
 the documents of ``RAW_DOCUMENTS``, each read by ``check-pd`` and by
-``check-metric``.  A command that raises instead of exiting is recorded by
+``check-metric``, and those of them from ``EXTREME_TABLES`` run as kernel
+documents are.  A command that raises instead of exiting is recorded by
 the name of the exception's type.  Documents are written to a temporary
 directory and named relative to it, so no path enters a report.
 """
@@ -120,9 +121,29 @@ HEADER_ERRORS = {
 # The documents the walk errors and the header errors break, with their table keys.
 MALFORMED_BASES = (("cpd-2,1-n3-s1.json", "values"), ("metric-2,1-n3-s1.json", "metric"))
 
+# Scalar kernel tables at the numeric extremes, all finite: a hermiticity
+# defect whose square overflows, one that overflows itself, then tables
+# whose decisions overflow, one not CPD, one CPD but not PD, and one PD.
+EXTREME_TABLES = {
+    "skew-1e300": [[2, -1 + 1e300j], [-1, 2]],
+    "skew-overflow": [[0, 1.7e308], [-1.7e308, 0]],
+    "overflow-non-cpd": [[1e308, 1.7e308], [1.7e308, 1e308]],
+    "overflow-cpd": [[1e308, -1.7e308], [-1.7e308, 1e308]],
+    "overflow-pd": [[1e308, -1], [-1, 1e308]],
+}
+
+
+def scalar_document(rows: list) -> str:
+    """The ``[1]`` kernel document, as text, of a square table of numbers."""
+    values = [[[[[[z.real, z.imag]]]] for z in map(complex, row)] for row in rows]
+    return json.dumps({"algebra": {"summands": [1]}, "set": [f"s{i + 1}" for i in range(len(rows))],
+                       "values": values})
+
+
 # Whole documents, as text: a 596-GiB summand over an empty block, nesting
 # beyond the parser's recursion limit, an integer beyond the digit limit of
-# int conversion, and text that is not JSON or not an object.
+# int conversion, text that is not JSON or not an object, and the tables of
+# ``EXTREME_TABLES``.
 RAW_DOCUMENTS = {
     "huge-summand": '{"algebra": {"summands": [200000]}, "set": ["a"], "values": [[[[]]]]}',
     "deep-nesting": "[" * 5000 + "]" * 5000,
@@ -130,6 +151,7 @@ RAW_DOCUMENTS = {
                      + "1" * 5000 + ", 0]]]]]}"),
     "truncated": '{"algebra": {"summands": [1]}, "set": ["a"], "values": [[',
     "top-level-list": "[]",
+    **{name: scalar_document(rows) for name, rows in EXTREME_TABLES.items()},
 }
 
 
@@ -341,6 +363,8 @@ def main(src: str, out: str) -> int:
                     on_malformed(f"{kind}-{name}", json.dumps(header_error(doc, key, kind)))
             for name, text in RAW_DOCUMENTS.items():
                 on_malformed(f"{name}.json", text)
+            for name in EXTREME_TABLES:
+                on_kernel(f"{name}.json")
         finally:
             os.chdir(home)
     Path(out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
