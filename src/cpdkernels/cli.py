@@ -300,15 +300,15 @@ def _load(path: str, kind: type):
     return doc
 
 
-def _run(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
-    """Load the command's documents, run it, and report: a decision exits
-    by its verdict, a construction by its verify block, a transform 0."""
+def _run(args, tol: ToleranceConfig) -> tuple[int, str]:
+    """Run the command on its documents and render its report: a decision
+    exits by its verdict, a construction by its verify block, a transform 0."""
     command, start = COMMANDS[args.command], time.perf_counter()
     docs = [_load(getattr(args, arg), kind) for arg, kind, _ in command.reads]
     parsed = time.perf_counter()
     out = command.run(args, tol, *docs)
     if out is None:
-        return 0, None
+        return 0, ""
     verdict, artifacts, rebuild = out
     if getattr(args, "verify", False):
         doc, new = docs[0], rebuild()
@@ -324,7 +324,7 @@ def _run(args, tol: ToleranceConfig) -> tuple[int, Report | None]:
     else:
         witness, code = None, 0 if artifacts.get("verify", {"ok": True})["ok"] else 1
         verdict = code == 0 if verdict is None else verdict
-    return code, Report(args.command, verdict, witness, artifacts, phases, tol)
+    return code, dump_json(Report(args.command, verdict, witness, artifacts, phases, tol).to_json())
 
 
 # The parser holds no state between parses, so one serves every call.
@@ -337,17 +337,16 @@ def main(argv=None) -> int:
         print("tolerances must be positive and finite", file=sys.stderr)
         return 2
     tol = ToleranceConfig(tol_rel=args.tol_rel, rank_tol_rel=args.rank_tol_rel)
-    try:
-        code, report = _run(args, tol)
+    try:  # a report that cannot be rendered is an error too
+        code, text = _run(args, tol)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         if not isinstance(exc, PreconditionFailure) or exc.verdict is None:
             return 2
         # A failed decision behind the precondition: report it, with its witness.
-        code, report = 1, Report(args.command, False, _verdict_to_json(exc.verdict),
-                                 None, None, tol)
-    if report is not None:
-        sys.stdout.write(dump_json(report.to_json()))
+        code, text = 1, dump_json(Report(args.command, False, _verdict_to_json(exc.verdict),
+                                         None, None, tol).to_json())
+    sys.stdout.write(text)
     return code
 
 

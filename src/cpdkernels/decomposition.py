@@ -226,8 +226,10 @@ def decompose_cpd(
     """
     fact = _cpd_factor(_cpd_input(K, tol), s0, tol)
     i0, n = K.index_set.index(s0), K.n
-    H = [(-0.5) * S[range(n), range(n)] - 1j * ((S[:, i0] - S[:, i0].conj().swapaxes(1, 2)) / 2j)
-         for S in K._stacks]  # im_part's arithmetic: the same bits
+    # K(s, s0) / 2 on the floats, exact above the subnormals: im_part's bits, no overflow
+    halves = [(S[:, i0].view(np.float64) * 0.5).view(np.complex128) for S in K._stacks]
+    H = [(-0.5) * S[range(n), range(n)] - 1j * ((X - X.conj().swapaxes(1, 2)) / 1j)
+         for S, X in zip(K._stacks, halves)]
     return CPDDecomposition(fact, _Points(K.index_set, K.descriptor, H), s0)
 
 

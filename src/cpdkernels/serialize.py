@@ -8,13 +8,13 @@ a block is a row-major 2-D array of ``[re, im]`` pairs.
 
 Floats are emitted with 17 significant digits so that a dump/load cycle is
 the identity on IEEE doubles, and key order is fixed, so equal objects
-serialize to identical bytes.  Both directions work on whole blocks: the
-CLI keeps each array of a report in a node (``_Arrays``) that is rendered by
-one ``%`` format of a layout built for its shape, a rectangular nest of
-floats in a plain document is rendered the same way, and each summand of a
-table is read as one array.  Anything else takes the per-node path: the
-renderer recurses, and the reader walks the table pair by pair, raising
-``SchemaError`` with the path into the offending document node.
+serialize to identical bytes.  Both directions work on whole arrays held in
+a node (``_Arrays``) and rendered by one ``%`` format: reports keep their
+arrays in nodes, and ``_node_of`` reads a plain nest of ``[re, im]`` pairs,
+ragged over summands such as ``[2, 1]`` or not, into one, for ``dump_json``
+and the reader alike.  Nests with ints, bools, tuples, float subclasses,
+empty lists or non-finite values are rendered node by node; a refused table
+is walked pair by pair, raising ``SchemaError`` with the offending path.
 """
 
 from __future__ import annotations
@@ -58,30 +58,6 @@ class SchemaError(ValueError):
         self.path = path
 
 
-def _children(nodes: list, *shape: int):
-    """The items ``len(shape)`` levels below ``nodes``, in reading order,
-    when every node is a nest of lists of ``shape``; else ``None``."""
-    for m in shape:
-        types = set(map(type, nodes))
-        if not all(issubclass(t, list) for t in types) or set(map(len, nodes)) != {m}:
-            return None
-        nodes = list(chain.from_iterable(nodes))
-    return nodes
-
-
-def _float_nest(obj):
-    """The shape and leaves of ``obj`` when it is a nonempty rectangular nest
-    of lists whose leaves are all floats, else ``None``."""
-    shape, x = [], obj
-    while type(x) is list and x:
-        shape.append(len(x))
-        x = x[0]
-    leaves = _children([obj], *shape)
-    if type(x) is not float or leaves is None or set(map(type, leaves)) != {float}:
-        return None
-    return shape, leaves
-
-
 def _layout(shape, level: int) -> str:
     """The ``%`` format string of a float nest of ``shape`` at ``level``.  A
     list of shapes in ``shape`` stands for one list holding a nest of each;
@@ -100,16 +76,53 @@ def _layout(shape, level: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class _Arrays:
-    """A report node: the nest of ``shape`` whose entry at each index lists
+    """A node of arrays: the nest of ``shape`` whose entry at each index lists
     the ``[re, im]`` block of every array there (``shape`` is the arrays'
-    leading axes), or, with ``shape`` ``None``, the nest of the one array."""
+    leading axes), or, with ``shape`` ``None``, the nest of the one array.
+    ``_plain`` gives its plain nest, and ``_node_of`` reads one back."""
 
     shape: tuple | None
     arrays: tuple
 
 
+def _node_of(obj, number) -> _Arrays | None:
+    """The node whose plain form is the nest ``obj``, else ``None``.  The nest
+    is rectangular down to its ``[re, im]`` pairs, or down to one level whose
+    items, read in turn, are each such a nest (the arrays of the node); the
+    type of every leaf passes ``number``, and every number is finite.  It is
+    split once: a part that is itself ragged refuses the nest."""
+
+    def descend(nodes: list):  # their common shape, and the nodes and types below it
+        shape, types = [], set(map(type, nodes))
+        while all(issubclass(t, list) for t in types) and len(lengths := set(map(len, nodes))) == 1:
+            shape.append(lengths.pop())
+            nodes = list(chain.from_iterable(nodes))
+            types = set(map(type, nodes))
+        return shape, nodes, types
+
+    shape, nodes, types = descend([obj])
+    lead, parts = None, [(shape, nodes, types)]
+    if types and all(issubclass(t, list) for t in types):  # ragged: split the level above
+        m = shape.pop()
+        lead, parts = tuple(shape), [descend(nodes[k::m]) for k in range(m)]
+    arrays = []
+    for shape, leaves, types in parts:
+        if shape[-1:] != [2] or not all(map(number, types)):
+            return None
+        try:
+            a = np.fromiter(map(float, leaves), np.float64, len(leaves))
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if not np.isfinite(a).all():
+            return None
+        arrays.append(a.view(np.complex128).reshape((lead or ()) + tuple(shape[:-1])))
+    return _Arrays(lead, tuple(arrays))
+
+
 def _render(obj, out: list, level: int) -> None:
     pad, closing = "  " * (level + 1), "  " * level
+    if isinstance(obj, list):  # exact floats only: a node writes the int 10**20 as 1e+20
+        obj = _node_of(obj, lambda t: t is float) or obj
     if isinstance(obj, _Arrays):  # one format; the leaves by one tolist
         lead, outer = math.prod(obj.shape or ()), len(obj.shape or ())
         blocks = [A.shape[outer:] + (2,) for A in obj.arrays]
@@ -123,13 +136,6 @@ def _render(obj, out: list, level: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-            return
-        nest = _float_nest(obj)
-        if nest is not None:  # a whole block or table, in one format
-            shape, leaves = nest
-            if not all(map(math.isfinite, leaves)):
-                raise ValueError("non-finite floats cannot be serialized")
-            out.append(_layout(shape, level) % tuple(leaves))
             return
         out.append("[\n")
         for i, v in enumerate(obj):
@@ -344,27 +350,16 @@ def _parse_header(doc) -> tuple[AlgebraDescriptor, IndexSet]:
 
 def _float_stacks(node, desc: AlgebraDescriptor, n: int):
     """The ``(n, n, d, d)`` stack of each summand of a well-formed ``n x n``
-    table whose numbers are all finite, by one array conversion per summand
-    (the bits of ``complex(re, im)``); else ``None``.  It accepts what the
-    pair walk accepts: integers are read by ``float``, as the walk reads
-    them (``dump_json`` writes ``0.0`` as ``0``)."""
-    m = desc.num_summands
-    blocks = _children([node], n, n, m)
-    if blocks is None:
+    table, read by ``_node_of`` (the bits of ``complex(re, im)``); else
+    ``None``.  It accepts what the pair walk accepts, integers read by
+    ``float`` included (``dump_json`` writes ``0.0`` as ``0``)."""
+    node = _node_of(node, _number_type)
+    if node is not None and node.shape is None and node.arrays[0].ndim == 5:  # one summand size
+        node = _Arrays(node.arrays[0].shape[:2], tuple(np.moveaxis(node.arrays[0], 2, 0)))
+    if node is None or node.shape != (n, n) or (
+            [A.shape for A in node.arrays] != [(n, n, d, d) for d in desc.summand_dims]):
         return None
-    stacks = []
-    for k, d in enumerate(desc.summand_dims):
-        leaves = _children(blocks[k::m], d, d, 2)
-        if leaves is None or not all(map(_number_type, set(map(type, leaves)))):
-            return None
-        try:
-            a = np.fromiter(map(float, leaves), np.float64, len(leaves))
-        except OverflowError:  # an integer beyond the float range
-            return None
-        if not np.isfinite(a).all():
-            return None
-        stacks.append(a.view(np.complex128).reshape(n, n, d, d))
-    return stacks
+    return list(node.arrays)
 
 
 def _parse_stacks(node, desc: AlgebraDescriptor, n: int, path: str) -> list[np.ndarray]:

@@ -399,6 +399,30 @@ class TestNonFiniteInput:
         assert err == f"{argv[0]}: kernel table is not hermitian at tolerance\n"
         assert [str(w.message) for w in caught] == []
 
+    # CPD and finite, with h(s2) = -1 + 1.7e308 i at s1, though K(s2, s1) - K(s2, s1)* overflows.
+    @pytest.mark.parametrize("argv, affine", [
+        (["decompose"], [-1, 0, -1, 1.7e308]),
+        (["decompose", "--base-point", "s2"], [-1, -1.7e308, -1, 0]),
+        (["decompose", "--verify"], [-1, 0, -1, 1.7e308]),
+    ])
+    def test_huge_skew_part_of_a_cpd_kernel_decomposes(self, capsys, tmp_path, argv, affine):
+        path = write_kernel(tmp_path, scalar_kernel([[2, 1.7e308j], [-1.7e308j, 2]]))
+        assert run(capsys, "check-cpd", path)[0] == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, "")
+        assert [str(w.message) for w in caught] == []
+        artifacts = json.loads(out)["artifacts"]
+        assert np.ravel(artifacts["decomposition"]["affine"]).tolist() == affine
+        assert artifacts.get("verify", {"ok": True})["ok"]
+
+    def test_a_report_that_cannot_be_rendered_exits_two(self, capsys, monkeypatch, cpd_path):
+        monkeypatch.setattr(cli.Report, "to_json", lambda self: {"x": float("nan")})
+        code, out, err = run(capsys, "check-cpd", cpd_path)
+        assert (code, out) == (2, "")
+        assert err == "check-cpd: non-finite floats cannot be serialized\n"
+
     def test_overflowing_metric_is_an_input_error_not_a_pass(self, capsys, tmp_path):
         # The overflowing slacks come first; they used to hide the failing
         # triangle (a, e, b) behind a NaN margin and pass.
@@ -430,7 +454,8 @@ class TestNonFiniteInput:
 class TestUnreadableInput:
     """Documents the reader cannot take end in exit 2 with a located message,
     not a traceback: a summand too large to allocate, nesting beyond the
-    parser's recursion limit, an integer beyond the digit limit."""
+    parser's recursion limit, an integer beyond the digit limit, a table
+    ragged to 500 levels."""
 
     DOCUMENTS = {
         "huge-summand": ('{"algebra": {"summands": [200000]}, "set": ["a"], "values": [[[[]]]]}',
@@ -438,6 +463,10 @@ class TestUnreadableInput:
         "deep-nesting": ("[" * 5000 + "]" * 5000, "$: malformed JSON: "),
         "long-integer": ('{"algebra": {"summands": [1]}, "set": ["a"], "values": [[[[['
                          + "1" * 5000 + ', 0]]]]]}', "$: malformed JSON: "),
+        # [x, [1.0]] nested 500 times: ragged at every level.
+        "deep-ragged": ('{"algebra": {"summands": [1]}, "set": ["a"], "values": '
+                        + "[" * 500 + "1.0" + ", [1.0]]" * 500 + "}",
+                        "$.values: expected 1 rows"),
     }
 
     @pytest.mark.parametrize("name", DOCUMENTS)

@@ -39,8 +39,10 @@ from cpdkernels import (
     scalar_kernel,
     sum_sq_diff_decomposition,
 )
+from cpdkernels import serialize
 from cpdkernels.serialize import (
     _Arrays,
+    _certificate_to_json,
     _float_stacks,
     _parse_stacks,
     _decomposition_to_json,
@@ -103,10 +105,37 @@ class TestDumpJson:
         assert json.loads(dump_json([x]))[0] == x
 
 
+class Row(list):
+    """A list subclass, as a row of a plain nest."""
+
+
+# Edits of the first entry of a ragged table (see ``ragged_table``).
+RAGGED_EDITS = {
+    "none": lambda e: None,
+    "int 10**20": lambda e: e[1][0][0].__setitem__(0, 10**20),
+    "np.float64": lambda e: e[0][1][1].__setitem__(1, np.float64(0.1)),
+    "bool": lambda e: e[1][0][0].__setitem__(1, True),
+    "tuple block": lambda e: e.__setitem__(0, tuple(e[0])),
+    "list-subclass row": lambda e: e[0].__setitem__(1, Row(e[0][1])),
+    "negative zero": lambda e: e[0][0][0].__setitem__(0, -0.0),
+    "empty block": lambda e: e.__setitem__(1, []),
+    "ragged part": lambda e: e[0][1].pop(),
+}
+
+
+def ragged_table(edit: str) -> list:
+    """A plain 2 x 2 table over summands [2, 1], its first entry edited by
+    ``RAGGED_EDITS[edit]``."""
+    table = [[[[[[i - j + 0.5, a - b + 0.25] for b in range(d)] for a in range(d)]
+               for d in (2, 1)] for j in range(2)] for i in range(2)]
+    RAGGED_EDITS[edit](table[0][0])
+    return table
+
+
 class TestLeafListRenderer:
-    """Lists of floats, and rectangular nests of them, are rendered by one
-    format; the bytes are those of the renderer that recurses into every
-    node."""
+    """Plain nests of ``[re, im]`` pairs, rectangular or ragged, are rendered
+    by one format; the bytes are those of the renderer that recurses into
+    every node."""
 
     @pytest.mark.parametrize("obj", [
         [], [True, 1.0], [1, 2.0], [np.float64(0.1), 0.2], (0.5, -0.0, 1e-300),
@@ -114,6 +143,8 @@ class TestLeafListRenderer:
         [[]], [[1.0], [2.0, 3.0]], [[1.0, 2]], [[np.float64(1.0)]],
         [[-0.0, 1e-300, 5e-324]], [[[1.0, 2.0]], [(3.0, 4.0)]], [[1.0, [2.0]]],
         {"a": [[[0.5, -1.5], [2.5, 1e16]], [[1e17, 0.1], [3.0, 4.0]]]},
+        *(ragged_table(edit) for edit in RAGGED_EDITS),
+        {"points": [[[[0.5, 1.0], [2.0, -0.0]], [[3.0, 4.0]]]] * 3},
     ])
     def test_edge_leaves(self, obj):
         assert dump_json(obj) == reference_dump_json(obj)
@@ -186,6 +217,50 @@ class TestLeafListRenderer:
         assert len(rendered) == len(commands)
         for text, reference in rendered:
             assert text == reference
+
+
+def plain_documents(n: int) -> dict:
+    """Plain documents of ``n`` labels from the public writers, each with the
+    report node builder's document of the same object: kernels and metrics
+    over [2, 1] and [3, 2], a decomposition with unequal ranks and a
+    majorization certificate."""
+    docs = {}
+    for dims in ([2, 1], [3, 2]):
+        cfg = GenConfig(seed=n, n=n, descriptor=AlgebraDescriptor(dims))
+        K, dm = random_cpd_kernel(cfg), random_metric(cfg)
+        docs[f"kernel {dims}"] = (kernel_to_json(K), _table_to_json(K, "values"))
+        docs[f"metric {dims}"] = (metric_to_json(dm), _table_to_json(dm, "metric"))
+    dec = decompose_cpd(K, "s1")
+    assert len(set(dec.factorization.ranks)) > 1
+    docs["decomposition"] = (decomposition_to_json(dec), _decomposition_to_json(dec))
+    big, small, s0 = random_majorized_pair(cfg)
+    cert = recover_contraction(big, small, s0)
+    docs["certificate"] = (certificate_to_json(cert), _certificate_to_json(cert))
+    return docs
+
+
+class TestPlainDocumentsTakeTheNode:
+    """A plain document renders its arrays as the report's nodes do: the
+    number of ``_render`` calls, labels aside, does not grow with the set,
+    and the bytes are the node builder's and the reference's."""
+
+    def test_render_calls_do_not_grow_with_n(self, monkeypatch):
+        calls = []
+        render = serialize._render
+
+        def spy(obj, out, level):
+            calls.append(type(obj))
+            return render(obj, out, level)
+
+        monkeypatch.setattr(serialize, "_render", spy)
+        counts = {4: {}, 16: {}}
+        for n, count in counts.items():
+            for name, (plain, nodes) in plain_documents(n).items():
+                calls.clear()
+                text = dump_json(plain)
+                count[name] = sum(t is not str for t in calls)
+                assert text == dump_json(nodes) == reference_dump_json(plain), (name, n)
+        assert counts[4] == counts[16]
 
 
 def array_nodes(dims, n, seed=0) -> dict:

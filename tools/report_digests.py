@@ -29,8 +29,12 @@ at the first entry (first block, row, pair and number) and at the last
 the documents of ``RAW_DOCUMENTS``, each read by ``check-pd`` and by
 ``check-metric``, and those of them from ``EXTREME_TABLES`` run as kernel
 documents are.  A command that raises instead of exiting is recorded by
-the name of the exception's type.  Documents are written to a temporary
-directory and named relative to it, so no path enters a report.
+the name of the exception's type.  Every generated document (``gen``
+output, the pair and the fixtures) is also read back and digested as the
+public writers render it, ``dump_json(kernel_to_json(.))`` or
+``metric_to_json``, so the plain writers are under the same byte check.
+Documents are written to a temporary directory and named relative to it,
+so no path enters a report.
 """
 
 from __future__ import annotations
@@ -123,13 +127,15 @@ MALFORMED_BASES = (("cpd-2,1-n3-s1.json", "values"), ("metric-2,1-n3-s1.json", "
 
 # Scalar kernel tables at the numeric extremes, all finite: a hermiticity
 # defect whose square overflows, one that overflows itself, then tables
-# whose decisions overflow, one not CPD, one CPD but not PD, and one PD.
+# whose decisions overflow, one not CPD, one CPD but not PD, and one PD;
+# last a CPD table whose skew part, doubled, would overflow.
 EXTREME_TABLES = {
     "skew-1e300": [[2, -1 + 1e300j], [-1, 2]],
     "skew-overflow": [[0, 1.7e308], [-1.7e308, 0]],
     "overflow-non-cpd": [[1e308, 1.7e308], [1.7e308, 1e308]],
     "overflow-cpd": [[1e308, -1.7e308], [-1.7e308, 1e308]],
     "overflow-pd": [[1e308, -1], [-1, 1e308]],
+    "cpd-skew-1.7e308": [[2, 1.7e308j], [-1.7e308j, 2]],
 }
 
 
@@ -245,7 +251,8 @@ def main(src: str, out: str) -> int:
     from cpdkernels import AlgebraDescriptor, GenConfig, random_majorized_pair
     from cpdkernels.cli import main as cli
     from cpdkernels.generators import FIXTURE_NAMES
-    from cpdkernels.serialize import dump_json, kernel_to_json
+    from cpdkernels.embedding import CStarMetric
+    from cpdkernels.serialize import dump_json, kernel_to_json, load_document, metric_to_json
 
     digests = {}
 
@@ -270,6 +277,12 @@ def main(src: str, out: str) -> int:
             return None
         Path(path).write_text(text, encoding="utf-8")
         return path
+
+    def on_plain(path: str) -> None:
+        """Digest a generated document as the public writers render it."""
+        doc = load_document(Path(path).read_text(encoding="utf-8"))
+        to_json = metric_to_json if isinstance(doc, CStarMetric) else kernel_to_json
+        digests[f"plain {path}"] = digest(dump_json(to_json(doc)))
 
     def on_kernel(path: str) -> None:
         last = json.loads(Path(path).read_text(encoding="utf-8"))["set"][-1]
@@ -327,6 +340,7 @@ def main(src: str, out: str) -> int:
                             text = run(f"gen {name}", "gen", klass, "--seed", str(seed),
                                        "--n", str(n), "--dims", dims)
                             if write(name, text):
+                                on_plain(name)
                                 (on_metric if klass == "metric" else on_kernel)(name)
                                 if klass == "metric":
                                     on_broken(name)
@@ -343,6 +357,7 @@ def main(src: str, out: str) -> int:
                         for path, kernel in ((big, K), (small, Kp)):
                             write(path, dump_json(kernel_to_json(kernel)))
                             digests[f"gen {path}"] = digest(Path(path).read_text())
+                            on_plain(path)
                             on_kernel(path)
                         run(f"majorize {tag}", "majorize", "--base-point", s0, big, small)
                         run(f"majorize reversed {tag}", "majorize", "--base-point", s0,
@@ -351,6 +366,7 @@ def main(src: str, out: str) -> int:
                 name = f"{fixture}.json"
                 text = run(f"gen {name}", "gen", fixture)
                 if write(name, text):
+                    on_plain(name)
                     (on_metric if '"metric"' in text else on_kernel)(name)
             run("demo schur-counterexample", "demo", "schur-counterexample")
             for name, key in MALFORMED_BASES:
