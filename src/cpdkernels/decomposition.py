@@ -95,6 +95,7 @@ class Factorization:
         if (V.descriptor, V.ranks or V.descriptor.summand_dims) != (self.descriptor, ranks):
             raise DimensionMismatch("factor points do not match the descriptor and the ranks")
         object.__setattr__(self, "V", V)
+        object.__setattr__(self, "ranks", ranks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,12 +207,15 @@ def factor_kernel(fact: Factorization) -> Kernel:
                       [_assembled(_cross(X)) for X in fact.V._arrays])
 
 
-def _cpd_factor(K: Kernel, s0: str, tol: ToleranceConfig) -> Factorization:
-    """Decide a kernel whose hermiticity is settled CPD, once, then factor
-    its base-point shift at ``s0``, which that decision proves positive."""
+def _cpd_factor(K: Kernel, s0: str, tol: ToleranceConfig,
+                refusal: str = "kernel is not conditionally positive definite") -> Factorization:
+    """The one Kolmogorov route, of ``decompose_cpd``, ``recover_contraction``
+    and ``embed`` (on ``-d^2``): decide a kernel whose hermiticity is settled
+    CPD, once, refusing with ``refusal`` and the witness, then factor its
+    base-point shift at ``s0``, which that decision proves positive."""
     verdict = _cpd_verdict(K, tol)
     if not verdict.holds:
-        raise PreconditionFailure("kernel is not conditionally positive definite", verdict)
+        raise PreconditionFailure(refusal, verdict)
     return factor_pd(shift_transform(K, s0, tol), tol, check=False)
 
 
@@ -286,10 +290,13 @@ def sum_sq_diff_reconstruct(
     families, index_set: IndexSet, descriptor: AlgebraDescriptor
 ) -> Kernel:
     """Evaluate ``-sum_k |e_i^k - e_j^k|^2`` back into a kernel table; the
-    inverse of ``sum_sq_diff_decomposition`` up to roundoff."""
-    arrays = [_Points.of(index_set, fam)._arrays for fam in families]
+    inverse of ``sum_sq_diff_decomposition`` up to roundoff.  Families of
+    another algebra than ``descriptor`` raise ``DimensionMismatch``."""
+    points = [_Points.of(index_set, fam) for fam in families]
+    if any(P.descriptor != descriptor for P in points):
+        raise DimensionMismatch("families are not of the given algebra")
     return Kernel._of(index_set, descriptor, [
-        _assembled(_squared_differences([X[k] for X in arrays], index_set.n, d))
+        _assembled(_squared_differences([P._arrays[k] for P in points], index_set.n, d))
         for k, d in enumerate(descriptor.summand_dims)])
 
 
@@ -373,10 +380,7 @@ def recover_contraction(
     for X, Xp in zip(fact.V._arrays, factp.V._arrays):
         # The V(s_i) blocks side by side, as one (r, n d) matrix.
         vs, vps = (np.hstack(Y) for Y in (X, Xp))
-        if vs.shape[0] == 0:
-            wk = np.zeros((vps.shape[0], 0), dtype=np.complex128)
-        else:
-            wk = vps @ np.linalg.pinv(vs, rcond=tol.rank_tol_rel)
+        wk = vps @ np.linalg.pinv(vs, rcond=tol.rank_tol_rel)
         W.append(wk)
         norm_W = max(norm_W, float(spectral_norms(wk)))
         residual = max(residual, float(spectral_norms(vps - wk @ vs)))

@@ -4,8 +4,10 @@ A metric on a finite labeled set takes values in the positive cone of the
 algebra and satisfies the usual axioms with the cone order in place of the
 order on the reals.  Such a metric embeds isometrically into the column
 module, meaning ``|V(s) - V(t)| = d(s,t)`` for module points ``V(s)``, if and
-only if the kernel ``-d^2`` is conditionally positive definite; the embedding
-is read off from a factorization of the base-point shift of ``-d^2``.
+only if the kernel ``-d^2`` is conditionally positive definite.  So ``embed``
+is ``decompose_cpd``'s route applied to ``-d^2``: one conditional positivity
+decision, then a factorization of the base-point shift.  A metric on one
+label embeds vacuously, at rank 0.
 
 Not every positive-valued candidate obeys the triangle inequality once the
 summands have size two or more, so ``distance_matrix_from_points`` always
@@ -28,7 +30,7 @@ from .algebra import (
     psd_margins,
     spectral_norms,
 )
-from .decomposition import Factorization, PreconditionFailure, factor_pd
+from .decomposition import Factorization, _cpd_factor
 from .kernels import (
     IndexSet,
     Kernel,
@@ -39,7 +41,6 @@ from .kernels import (
     _assembled,
     _cpd_verdict,
     _scalar,
-    shift_transform,
 )
 
 __all__ = [
@@ -174,14 +175,7 @@ def is_embeddable(
     InvalidMetric
         If the table is not a metric in the first place.
     """
-    return _embeddability(dm, tol)[0]
-
-
-def _embeddability(dm: CStarMetric, tol: ToleranceConfig):
-    """``is_embeddable``'s verdict and the kernel ``-d^2`` it decides, with no
-    second hermiticity test: the metric axioms make ``-d^2`` hermitian."""
-    K = metric_to_kernel(dm, tol)
-    return Verdict(True) if dm.n < 2 else _cpd_verdict(K, tol), K
+    return _cpd_verdict(metric_to_kernel(dm, tol), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,9 +211,10 @@ def embed(
 ) -> EmbeddingResult:
     """Embed a metric isometrically, anchoring ``V(s0) = 0``.
 
-    The base-point shift of ``-d^2`` is positive definite exactly when the
-    metric is embeddable; its factorization realizes the distances because
-    ``<V(s) - V(t), V(s) - V(t)> = d(s,t)^2``.
+    The metric is validated, ``-d^2`` is decided CPD, and its base-point
+    shift, positive exactly when the metric is embeddable, is factored; the
+    factorization realizes the distances because ``<V(s) - V(t), V(s) -
+    V(t)> = d(s,t)^2``.
 
     Raises
     ------
@@ -228,12 +223,8 @@ def embed(
     PreconditionFailure
         If the metric is not embeddable; carries the compressed-space witness.
     """
-    verdict, K = _embeddability(dm, tol)
-    if not verdict.holds:
-        raise PreconditionFailure("metric is not embeddable", verdict)
-    L = shift_transform(K, s0, tol)
-    fact = factor_pd(L, tol, check=False)
-    return EmbeddingResult(fact, s0)
+    return EmbeddingResult(_cpd_factor(metric_to_kernel(dm, tol), s0, tol,
+                                       "metric is not embeddable"), s0)
 
 
 def distance_matrix_from_points(

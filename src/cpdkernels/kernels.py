@@ -457,7 +457,10 @@ def _cpd_input(K: Kernel, tol: ToleranceConfig) -> Kernel:
 def _cpd_verdict(K: Kernel, tol: ToleranceConfig) -> Verdict:
     """Conditional positivity of a kernel whose hermiticity is settled (a
     validated table, or one derived from validated tables): the compression
-    of each summand, decided on its hermitian part."""
+    of each summand, decided on its hermitian part.  Fewer than two labels
+    hold vacuously: there is no nonzero zero-sum tuple."""
+    if K.n < 2:
+        return Verdict(True)
     return _psd_verdict((_shifted(G, K.n, K.n - 1, compress=True) for G in K._grams), tol)
 
 

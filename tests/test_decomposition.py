@@ -2,6 +2,8 @@
 base-point decomposition of conditionally positive kernels, the splitting
 into squared differences, the kernel order, and contraction recovery."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from cpdkernels import (
     Kernel,
     ModuleElement,
     PreconditionFailure,
+    ToleranceConfig,
     UnknownLabel,
     adjoint,
     decompose_cpd,
@@ -41,7 +44,7 @@ from cpdkernels import (
     sum_sq_diff_decomposition,
     sum_sq_diff_reconstruct,
 )
-from cpdkernels.serialize import decomposition_to_json, families_to_json
+from cpdkernels.serialize import decomposition_to_json, factorization_to_json, families_to_json
 from helpers import (
     KERNEL_DESCRIPTORS,
     reference_factor_kernel,
@@ -63,6 +66,19 @@ SIGN_FLIP = scalar_kernel([[0.0, -1.0], [-1.0, 0.0]])
 
 def reconstruction_error(K, dec):
     return kernel_norm(reconstruct_cpd(dec) - K)
+
+
+def zero_summand(K, k):
+    """``K`` with every block of summand ``k`` set to zero."""
+    return Kernel(K.index_set, K.descriptor, [[AlgebraElement(K.descriptor, [
+        np.zeros_like(b) if i == k else b for i, b in enumerate(v.blocks)]) for v in row]
+        for row in K.values])
+
+
+def squared_distances(x):
+    """The scalar kernel ``-(x_s - x_t)^2`` of real points ``x``."""
+    x = np.asarray(x, dtype=float)
+    return scalar_kernel(-((x[:, None] - x[None, :]) ** 2))
 
 
 def zero_factorization(index_set, descriptor):
@@ -203,6 +219,15 @@ class TestSumSqDiffDecomposition:
         K = sum_sq_diff_reconstruct([], IndexSet(["a", "b"]), AlgebraDescriptor([2]))
         assert kernel_norm(K) == 0.0
 
+    def test_reconstruct_refuses_families_of_another_algebra(self):
+        desc = AlgebraDescriptor([1, 1])
+        K = random_cpd_kernel(GenConfig(seed=1, n=3, descriptor=desc), diagonal_zero=True)
+        families = sum_sq_diff_decomposition(K)
+        for other in (AlgebraDescriptor([2]), AlgebraDescriptor([1])):
+            with pytest.raises(DimensionMismatch, match="families"):
+                sum_sq_diff_reconstruct(families, K.index_set, other)
+        assert sum_sq_diff_reconstruct(families, K.index_set, desc).descriptor == desc
+
     @given(seed=seeds, desc=descriptors)
     def test_forward_instances_roundtrip(self, seed, desc):
         K = random_cpd_kernel(
@@ -330,6 +355,16 @@ class TestStackedReconstructions:
             Factorization(fact.index_set, fact.descriptor, (1,), dict(fact.V))
         Factorization(fact.index_set, fact.descriptor, [np.int64(2)], dict(fact.V))
 
+    def test_ranks_are_stored_as_a_tuple_of_ints(self):
+        fact = decompose_cpd(random_cpd_kernel(
+            GenConfig(seed=1, n=3, descriptor=AlgebraDescriptor([2, 1]))), "s1").factorization
+        for ranks in (list(fact.ranks), np.array(fact.ranks)):
+            same = Factorization(fact.index_set, fact.descriptor, ranks, dict(fact.V))
+            assert same.ranks == fact.ranks
+            assert type(same.ranks) is tuple and all(type(r) is int for r in same.ranks)
+            assert (json.dumps(factorization_to_json(same))
+                    == json.dumps(factorization_to_json(fact)))
+
     def test_labels_must_be_the_sets(self):
         cfg = GenConfig(seed=1, n=3, descriptor=AlgebraDescriptor([2, 1]))
         dec = decompose_cpd(random_cpd_kernel(cfg), "s2")
@@ -453,6 +488,44 @@ class TestRecoverContraction:
         with pytest.raises(PreconditionFailure) as exc:
             recover_contraction(0.5 * K, K, "s1")
         assert exc.value.verdict is not None
+
+    def test_rank_zero_summands_give_empty_blocks(self):
+        cfg = GenConfig(seed=1, n=4, descriptor=AlgebraDescriptor([2, 1]))
+        K, Kp, s0 = random_majorized_pair(cfg)
+        for big, shapes in ((zero_summand(K, 1), [(4, 4), (0, 0)]), (K, [(4, 4), (0, 2)])):
+            cert = recover_contraction(big, zero_summand(Kp, 1), s0)
+            assert [w.shape for w in cert.W] == shapes
+            assert [c.shape for c in cert.C] == [(4, 4), (shapes[1][1],) * 2]
+            assert cert.norm_W <= 1.0 and cert.residual <= 1e-12
+
+    def test_a_map_of_norm_above_one_is_refused(self):
+        pair = random_majorized_pair(GenConfig(seed=1, n=4, descriptor=AlgebraDescriptor([2, 1])))
+        # -3 (0.05 SIGN_FLIP) has compression -0.3: 4 K <= K at tol_rel 0.5
+        for K, s0, tol in ((pair[0], pair[2], ToleranceConfig(tol_rel=1.0)),
+                           (0.05 * SIGN_FLIP, "s1", ToleranceConfig(tol_rel=0.5))):
+            assert kernel_leq(4 * K, K, tol).holds
+            with pytest.raises(PreconditionFailure,
+                               match=r"^recovered map has norm 2\.000000 > 1$"):
+                recover_contraction(K, 4 * K, s0, tol)
+
+    def test_a_part_outside_the_factor_space_is_refused(self):
+        # K's points lie on one axis, Kp's on another, so W = 0 and Kp is all residue;
+        # a loose tolerance lets the order check pass.
+        K, Kp = squared_distances([0.0, 20.0, 0.0]), squared_distances([0.0, 0.0, 10.0])
+        tol = ToleranceConfig(tol_rel=0.5)
+        assert kernel_leq(Kp, K, tol).holds
+        with pytest.raises(PreconditionFailure, match=r"^residual 1\.000e\+01 exceeds"):
+            recover_contraction(K, Kp, "s1", tol)
+
+    def test_a_map_that_does_not_rebuild_kp_is_refused(self):
+        # The same geometry at a smaller scale: the residual 4 is within
+        # sqrt(tol_rel) (1 + 4), so the kernel rebuilt from W = 0 is what is refused.
+        K, Kp = squared_distances([0.0, 1.0, 0.0]), squared_distances([0.0, 0.0, 4.0])
+        tol = ToleranceConfig(tol_rel=1.0)
+        assert kernel_leq(Kp, K, tol).holds
+        with pytest.raises(PreconditionFailure,
+                           match=r"^reconstruction error 1\.600e\+01 exceeds tolerance$"):
+            recover_contraction(K, Kp, "s1", tol)
 
     def test_nonzero_diagonal_is_rejected(self):
         K = scalar_kernel([[1.0, 0.0], [0.0, 1.0]])

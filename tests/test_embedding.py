@@ -361,6 +361,24 @@ class TestEmbed:
         with pytest.raises(InvalidMetric):
             embed(dm, "s1")
 
+    def test_decision_comes_before_the_base_point(self):
+        with pytest.raises(PreconditionFailure, match="^metric is not embeddable$"):
+            embed(STAR, "zz")
+        with pytest.raises(UnknownLabel, match="zz"):
+            embed(COLLINEAR, "zz")
+
+    @pytest.mark.parametrize("dims", [[1], [2, 1]])
+    def test_one_label_embeds_at_rank_zero(self, dims):
+        desc = AlgebraDescriptor(dims)
+        dm = CStarMetric(IndexSet(["a"]), desc, [[AlgebraElement.zero(desc)]])
+        result = embed(dm, "a")
+        assert result.factorization.ranks == (0,) * len(dims)
+        assert [b.shape for b in result.points["a"].blocks] == [(0, d) for d in dims]
+        assert module_norm(result.points["a"]) == 0.0
+        realized = result.realized_metric()
+        assert realized.descriptor == desc and realized.index_set == dm.index_set
+        assert all(np.array_equal(a, b) for a, b in zip(realized._grams, dm._grams, strict=True))
+
     @given(seed=seeds, desc=metric_descriptors, n=st.integers(2, 5))
     def test_generated_metrics_roundtrip(self, seed, desc, n):
         dm = random_metric(GenConfig(seed=seed, n=n, descriptor=desc))

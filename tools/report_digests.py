@@ -12,17 +12,20 @@ under ``diff``.
 The corpus: gram, cpd, cpd-diag, hermitian, non-cpd and metric documents
 from ``gen`` and the pair of ``random_majorized_pair``, over summands
 ``[1]``, ``[2,1]``, ``[8,8]``, ``[3,2]``, n in {1, 2, 3, 6, 10} and seeds
-{1, 9001}; on each kernel document ``check-pd``, ``check-cpd`` by each
-method, ``transform``, ``ssd-decompose --verify`` and ``decompose --verify``
-at the first and the last label, and the same on copies of each cpd-diag
-document with one summand, or all, set to zero (so a factorization has rank
-0 in a summand, and the split has no families); on each metric
-``check-metric`` and ``embed --verify`` at the first and the last label,
-and, with two labels or more, ``check-metric`` and ``embed --verify`` on
-copies of it that each break one axiom (see ``BREAKS``) and on copies placed
-at the positivity threshold (see ``MARGINS``); ``majorize`` on the pair in
-both orders; the same commands on the four fixtures, and the demo.  Last,
-the malformed corpus: copies of the [2,1], n=3, seed-1 cpd and metric
+{1, 9001}, and the one-label ``[2,1]`` metric ``ONE_LABEL_METRIC``, which
+``gen`` does not make.  The constructions ``decompose``, ``ssd-decompose``
+and ``embed`` each run twice, plain and with ``--verify``.  On each kernel
+document ``check-pd``, ``check-cpd`` by each method, ``transform``,
+``ssd-decompose`` and ``decompose`` at the first and the last label, and
+the same on copies of each cpd-diag document with one summand, or all, set
+to zero (so a factorization has rank 0 in a summand, and the split has no
+families); on each metric ``check-metric``, ``is_embeddable`` in process
+(which has no command) and ``embed`` at the first and the last label, and,
+with two labels or more, ``check-metric``, ``is_embeddable`` and ``embed``
+on copies of it that each break one axiom (see ``BREAKS``) and on copies
+placed at the positivity threshold (see ``MARGINS``); ``majorize`` on the
+pair in both orders; the same commands on the four fixtures, and the demo.
+Last, the malformed corpus: copies of the [2,1], n=3, seed-1 cpd and metric
 documents that each break the table once, by every kind of ``WALK_ERRORS``,
 at the first entry (first block, row, pair and number) and at the last
 (last of each), copies that break the header (see ``HEADER_ERRORS``), and
@@ -121,6 +124,10 @@ HEADER_ERRORS = {
     "table-object": lambda doc, key: doc.__setitem__(key, {}),
     "short-table": lambda doc, key: doc[key].pop(),
 }
+
+# A metric on one label, over [2, 1]: its one distance is zero.
+ONE_LABEL_METRIC = json.dumps({"algebra": {"summands": [2, 1]}, "set": ["a"], "metric": [[
+    [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0]]]]]]})
 
 # The documents the walk errors and the header errors break, with their table keys.
 MALFORMED_BASES = (("cpd-2,1-n3-s1.json", "values"), ("metric-2,1-n3-s1.json", "metric"))
@@ -248,11 +255,12 @@ def digest(*parts) -> str:
 
 def main(src: str, out: str) -> int:
     sys.path.insert(0, str(Path(src, "src").resolve()))
-    from cpdkernels import AlgebraDescriptor, GenConfig, random_majorized_pair
+    from cpdkernels import AlgebraDescriptor, GenConfig, is_embeddable, random_majorized_pair
     from cpdkernels.cli import main as cli
     from cpdkernels.generators import FIXTURE_NAMES
     from cpdkernels.embedding import CStarMetric
-    from cpdkernels.serialize import dump_json, kernel_to_json, load_document, metric_to_json
+    from cpdkernels.serialize import (
+        dump_json, kernel_to_json, load_document, metric_to_json, verdict_to_json)
 
     digests = {}
 
@@ -291,14 +299,40 @@ def main(src: str, out: str) -> int:
             run(f"{path} check-cpd {method}", "check-cpd", "--method", method, path)
         run(f"{path} transform", "transform", path)
         run(f"{path} ssd-decompose", "ssd-decompose", "--verify", path)
+        run(f"{path} ssd-decompose plain", "ssd-decompose", path)
         run(f"{path} decompose first", "decompose", "--verify", path)
+        run(f"{path} decompose first plain", "decompose", path)
         run(f"{path} decompose last", "decompose", "--verify", "--base-point", last, path)
+        run(f"{path} decompose last plain", "decompose", "--base-point", last, path)
+
+    def on_embeddable(path: str) -> None:
+        """Digest ``is_embeddable`` of a metric document, or the type and message
+        of what it raised, with the warnings it raised."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                dm = load_document(Path(path).read_text(encoding="utf-8"))
+                result = verdict_to_json(is_embeddable(dm))
+            except Exception as exc:
+                result = [type(exc).__name__, str(exc)]
+        seen = [f"{w.category.__name__}: {w.message}" for w in caught]
+        digests[f"{path} is_embeddable"] = digest(result, seen)
 
     def on_metric(path: str) -> None:
         last = json.loads(Path(path).read_text(encoding="utf-8"))["set"][-1]
         run(f"{path} check-metric", "check-metric", path)
+        on_embeddable(path)
         run(f"{path} embed first", "embed", "--verify", path)
+        run(f"{path} embed first plain", "embed", path)
         run(f"{path} embed last", "embed", "--verify", "--base-point", last, path)
+        run(f"{path} embed last plain", "embed", "--base-point", last, path)
+
+    def on_copy(path: str) -> None:
+        """The metric commands on a broken or placed copy, at its first label."""
+        run(f"{path} check-metric", "check-metric", path)
+        on_embeddable(path)
+        run(f"{path} embed", "embed", "--verify", path)
+        run(f"{path} embed plain", "embed", path)
 
     def on_malformed(path: str, text: str) -> None:
         write(path, text)
@@ -317,15 +351,11 @@ def main(src: str, out: str) -> int:
             return
         for how, edits in BREAKS.items():
             if how != "triangle" or len(doc["set"]) > 2:
-                copy = write(f"{how}-{path}", json.dumps(broken(doc, edits)))
-                run(f"{copy} check-metric", "check-metric", copy)
-                run(f"{copy} embed", "embed", "--verify", copy)
+                on_copy(write(f"{how}-{path}", json.dumps(broken(doc, edits))))
         for m in MARGINS:
             for triangle in (False, True)[: 1 + (len(doc["set"]) > 2)]:
                 where = "triangle" if triangle else "entry"
-                copy = write(f"{where}{m:+}-{path}", json.dumps(placed(doc, m, triangle)))
-                run(f"{copy} check-metric", "check-metric", copy)
-                run(f"{copy} embed", "embed", "--verify", copy)
+                on_copy(write(f"{where}{m:+}-{path}", json.dumps(placed(doc, m, triangle))))
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -368,6 +398,7 @@ def main(src: str, out: str) -> int:
                 if write(name, text):
                     on_plain(name)
                     (on_metric if '"metric"' in text else on_kernel)(name)
+            on_metric(write("one-label-metric.json", ONE_LABEL_METRIC))
             run("demo schur-counterexample", "demo", "schur-counterexample")
             for name, key in MALFORMED_BASES:
                 doc = json.loads(Path(name).read_text(encoding="utf-8"))
